@@ -32,11 +32,12 @@ from operator import mul as _mul
 
 import numpy as np
 
-from .element import ElementEvaluator, axis_kinds, basis_for_order, sample_field, xi_grid
+from .element import (SNAP_TOL, ElementEvaluator, axis_kinds, basis_for_order, sample_field,
+                      xi_grid)
 from .errors import InvalidInputError, ReportError
 from .fields import benchmark_field, random_interior_point
 from .nodes import MAX_NODES, make_node_set
-from .shapes import Shape, dim_of, shape_from_name
+from .shapes import Shape, _chain_rule, _collapse, _factors, dim_of, shape_from_name, spec_for
 from .tensor import TensorBasis
 
 METHOD_BARY = "bary"
@@ -53,10 +54,6 @@ CSV_HEADER = ["shape", "order", "method", "quantity",
 
 _DEFAULT_REPS = {1: 1000, 2: 100, 3: 100}
 _SAMPLING_COUNTS = {1: (64,), 2: (8, 8), 3: (4, 4, 4)}
-
-# Node hits inside this distance take the collocated branch; matches the
-# element path (collapse snap + kernel collocation tolerance).
-_COLL = 1e-12
 
 
 @dataclass
@@ -92,56 +89,6 @@ def quantities_for(dim):
 # ---------------------------------------------------------------------------
 # Scalar building blocks shared by the timed sweeps.
 # ---------------------------------------------------------------------------
-
-
-def _scalar_collapse(shape, xi):
-    if shape is Shape.TRI:
-        den = 1.0 - xi[1]
-        if den < _COLL:
-            return (-1.0, 1.0)
-        return (2.0 * (1.0 + xi[0]) / den - 1.0, xi[1])
-    if shape is Shape.PRISM:
-        den = 1.0 - xi[1]
-        e1 = -1.0 if abs(den) < _COLL else 2.0 * (1.0 + xi[0]) / den - 1.0
-        return (e1, xi[1], xi[2])
-    if shape is Shape.PYR:
-        den = 1.0 - xi[2]
-        if abs(den) < _COLL:
-            return (-1.0, -1.0, xi[2])
-        return (2.0 * (1.0 + xi[0]) / den - 1.0,
-                2.0 * (1.0 + xi[1]) / den - 1.0, xi[2])
-    if shape is Shape.TET:
-        den1 = -xi[1] - xi[2]
-        den2 = 1.0 - xi[2]
-        e1 = -1.0 if abs(den1) < _COLL else 2.0 * (1.0 + xi[0]) / den1 - 1.0
-        e2 = -1.0 if abs(den2) < _COLL else 2.0 * (1.0 + xi[1]) / den2 - 1.0
-        return (e1, e2, xi[2])
-    return xi
-
-
-def _scalar_chain(shape, eta, geta):
-    """Map cube-space first derivatives to region space at one point."""
-    if shape is Shape.TRI:
-        g1 = 2.0 / (1.0 - eta[1])
-        g2 = g1 * (eta[0] + 1.0) / 2.0
-        return (g1 * geta[0], geta[1] + g2 * geta[0])
-    if shape is Shape.PRISM:
-        g1 = 2.0 / (1.0 - eta[1])
-        g2 = g1 * (eta[0] + 1.0) / 2.0
-        return (g1 * geta[0], geta[1] + g2 * geta[0], geta[2])
-    if shape is Shape.PYR:
-        g = 2.0 / (1.0 - eta[2])
-        return (g * geta[0], g * geta[1],
-                geta[2] + g * (eta[0] + 1.0) / 2.0 * geta[0]
-                + g * (eta[1] + 1.0) / 2.0 * geta[1])
-    if shape is Shape.TET:
-        u = 0.5 * (1.0 - eta[1]) * (1.0 - eta[2])
-        r = 2.0 / (1.0 - eta[2])
-        a = (1.0 + eta[0]) / u
-        return (2.0 / u * geta[0],
-                a * geta[0] + r * geta[1],
-                a * geta[0] + r * (eta[1] + 1.0) / 2.0 * geta[1] + geta[2])
-    return geta
 
 
 def _scalar_cards(z, eta):
@@ -188,7 +135,7 @@ class _ScalarElement:
     """Element data unpacked to plain Python structures for the timing loops."""
 
     def __init__(self, evaluator):
-        self.shape = evaluator.shape
+        self.spec = spec_for(evaluator.shape)
         basis = evaluator.basis
         self.dim = basis.dim
         self.counts = basis.counts
@@ -232,7 +179,7 @@ class _BarySweep:
         z, w = self.znp[0], self.wnp[0]
         x = z - e1
         j = int(np.argmin(np.abs(x)))
-        if -_COLL <= x[j] <= _COLL:
+        if -SNAP_TOL <= x[j] <= SNAP_TOL:
             vals = self.lines_np[:, j]
             ders = self.lines_np @ self.d1np[0][j] if deriv else None
             return vals, ders
@@ -257,7 +204,7 @@ class _BarySweep:
             d = abs(z[j] - eta_q)
             if d < dist:
                 best, dist = j, d
-        if dist <= _COLL:
+        if dist <= SNAP_TOL:
             return best, None, None, 0.0, 0.0
         t1 = [wj / (zj - eta_q) for zj, wj in zip(z, w)]
         t2 = [t / (zj - eta_q) for zj, t in zip(z, t1)]
@@ -291,7 +238,7 @@ class _BarySweep:
             for (e1,) in self.pts:
                 x = z - e1
                 j = int(np.argmin(np.abs(x)))
-                if -_COLL <= x[j] <= _COLL:
+                if -SNAP_TOL <= x[j] <= SNAP_TOL:
                     values.append(data[j])
                     if deriv:
                         grads.append((float(self.d1np[0][j] @ data),))
@@ -317,7 +264,7 @@ class _BarySweep:
                                    - (2 * b * c) / ff + (2 * c * ac) / (ff * f))
         elif el.dim == 2:
             for xi in self.pts:
-                eta = _scalar_collapse(el.shape, xi)
+                eta = _collapse(el.spec, xi)
                 vals, ders = self._stage1(eta[0], deriv)
                 tab = self._tables(1, eta[1])
                 if not deriv:
@@ -326,11 +273,11 @@ class _BarySweep:
                 g1 = self._reduce_value(1, ders.tolist(), tab)
                 v, g2 = self._reduce_deriv(1, vals.tolist(), tab)
                 values.append(v)
-                grads.append(_scalar_chain(el.shape, eta, (g1, g2)))
+                grads.append(_chain_rule(el.spec, eta, (g1, g2)))
         else:
             n2, n3 = el.counts[1], el.counts[2]
             for xi in self.pts:
-                eta = _scalar_collapse(el.shape, xi)
+                eta = _collapse(el.spec, xi)
                 vals_np, ders_np = self._stage1(eta[0], deriv)
                 vals = vals_np.tolist()
                 tab2 = self._tables(1, eta[1])
@@ -354,10 +301,34 @@ class _BarySweep:
                 g2 = self._reduce_value(2, db, tab3)
                 v, g3 = self._reduce_deriv(2, v3, tab3)
                 values.append(v)
-                grads.append(_scalar_chain(el.shape, eta, (g1, g2, g3)))
+                grads.append(_chain_rule(el.spec, eta, (g1, g2, g3)))
         return (np.array(values),
                 np.array(grads) if grads else None,
                 np.array(d2s) if d2s else None)
+
+
+def _jt_terms(spec, eta):
+    """Nonzero entries of J^T at eta: per region axis q, the pairs
+    (J[i, q], i), diagonal first."""
+    terms = [[(1.0, q)] for q in range(spec.dim)]
+    for a, chain, diag, off in _factors(spec, eta):
+        terms[a][0] = (diag, a)
+        for b in chain:
+            terms[b].append((off, a))
+    return terms
+
+
+def _combine_rows(terms, rows):
+    """The row sum_k c_k * rows[i_k] over the one to three terms (c_k, i_k)."""
+    if len(terms) == 1:
+        ((c, i),) = terms
+        return rows[i] if c == 1.0 else [c * v for v in rows[i]]
+    if len(terms) == 2:
+        (c1, i1), (c2, i2) = terms
+        return [c1 * v1 + c2 * v2 for v1, v2 in zip(rows[i1], rows[i2])]
+    (c1, i1), (c2, i2), (c3, i3) = terms
+    return [c1 * v1 + c2 * v2 + c3 * v3
+            for v1, v2, v3 in zip(rows[i1], rows[i2], rows[i3])]
 
 
 class _MatrixSweep:
@@ -379,7 +350,7 @@ class _MatrixSweep:
         deriv_rows = [[] for _ in range(dim)] if q != Q_VALUE else None
         d2_rows = [] if q == Q_VALUE_D1_D2 else None
         for xi in self.pts:
-            eta = _scalar_collapse(el.shape, xi)
+            eta = _collapse(el.spec, xi)
             if q == Q_VALUE:
                 per_axis = [_scalar_cards(el.z[a], eta[a]) for a in range(dim)]
                 dper = None
@@ -424,38 +395,8 @@ class _MatrixSweep:
                 de3 = [c1j * c2d for d3k in dper[2] for c2j in c2
                        for c2d in (c2j * d3k,) for c1j in c1]
                 eta_rows = (de1, de2, de3)
-            # chain rule: compose cube-space derivative rows per shape
-            if el.shape in (Shape.TRI, Shape.PRISM):
-                g1 = 2.0 / (1.0 - eta[1])
-                g2 = g1 * (eta[0] + 1.0) / 2.0
-                deriv_rows[0].append([g1 * v for v in eta_rows[0]])
-                deriv_rows[1].append(
-                    [v2 + g2 * v1 for v1, v2 in zip(eta_rows[0], eta_rows[1])])
-                if dim == 3:
-                    deriv_rows[2].append(eta_rows[2])
-            elif el.shape is Shape.PYR:
-                g = 2.0 / (1.0 - eta[2])
-                a1 = g * (eta[0] + 1.0) / 2.0
-                a2 = g * (eta[1] + 1.0) / 2.0
-                deriv_rows[0].append([g * v for v in eta_rows[0]])
-                deriv_rows[1].append([g * v for v in eta_rows[1]])
-                deriv_rows[2].append(
-                    [v3 + a1 * v1 + a2 * v2 for v1, v2, v3 in
-                     zip(eta_rows[0], eta_rows[1], eta_rows[2])])
-            elif el.shape is Shape.TET:
-                u = 0.5 * (1.0 - eta[1]) * (1.0 - eta[2])
-                r = 2.0 / (1.0 - eta[2])
-                a = (1.0 + eta[0]) / u
-                rb = r * (eta[1] + 1.0) / 2.0
-                deriv_rows[0].append([2.0 / u * v for v in eta_rows[0]])
-                deriv_rows[1].append(
-                    [a * v1 + r * v2 for v1, v2 in zip(eta_rows[0], eta_rows[1])])
-                deriv_rows[2].append(
-                    [a * v1 + rb * v2 + v3 for v1, v2, v3 in
-                     zip(eta_rows[0], eta_rows[1], eta_rows[2])])
-            else:
-                for a in range(dim):
-                    deriv_rows[a].append(eta_rows[a])
+            for rows, terms in zip(deriv_rows, _jt_terms(el.spec, eta)):
+                rows.append(_combine_rows(terms, eta_rows))
         mats = [np.asarray(value_rows)]
         if deriv_rows is not None:
             mats.extend(np.asarray(rows) for rows in deriv_rows)

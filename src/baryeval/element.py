@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidInputError, OutOfRegionError
 from .kernel import EvalResult, _kernel
 from .nodes import NodeKind, make_node_set
-from .shapes import Shape, collapse, contains_point, dim_of, expand, jacobian, spec_for
+from .shapes import Shape, _chain_rule, collapse, contains_point, dim_of, expand_batch, spec_for
 from .tensor import FieldValues, TensorBasis, eta_grid, tensor_evaluate
 
 REGION_TOL = 1e-10
@@ -64,7 +64,7 @@ def basis_for_order(shape, order):
 
 def xi_grid(shape, basis):
     """The basis grid mapped into the reference region, field ordering."""
-    return np.array([expand(shape, eta) for eta in eta_grid(basis)])
+    return expand_batch(shape, eta_grid(basis))
 
 
 def sample_field(shape, basis, func):
@@ -111,17 +111,12 @@ class ElementEvaluator:
         Value-only queries succeed on singular faces through the degenerate
         collapse branch; gradient queries there raise SingularCollapseError.
         """
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if not contains_point(self.shape, xi, REGION_TOL):
-            raise OutOfRegionError(
-                f"{xi} lies outside the {self.shape.value} reference region"
-            )
-        eta = _snap_to_nodes(self.basis, collapse(self.shape, xi))
+        eta = _snap_to_nodes(self.basis, collapse(self.shape, xi, REGION_TOL))
+        res = tensor_evaluate(self.basis, self.field, eta, gradient=gradient)
         if not gradient:
-            return tensor_evaluate(self.basis, self.field, eta, gradient=False)
-        jac = jacobian(self.shape, eta)
-        res = tensor_evaluate(self.basis, self.field, eta, gradient=True)
-        return EvalResult(res.value, jac.T @ res.d1)
+            return res
+        grad = _chain_rule(spec_for(self.shape), eta.tolist(), res.d1.tolist())
+        return EvalResult(res.value, np.array(grad))
 
     def phys_evaluate_1d(self, xi, deriv=0):
         """Segment evaluation with derivatives up to order 2."""

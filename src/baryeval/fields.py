@@ -11,7 +11,8 @@ from itertools import product
 import numpy as np
 
 from .errors import InvalidInputError
-from .shapes import SINGULAR_TOL, Shape, contains_point, dim_of, exactness_contains
+from .shapes import (SINGULAR_TOL, _denominators, contains_point, dim_of, exactness_contains,
+                     spec_for)
 
 
 @dataclass(frozen=True)
@@ -95,15 +96,9 @@ def horner_derivative_coeffs(coeffs):
 
 
 def singular_distance(shape, xi):
-    """Smallest collapse denominator at xi (inf for tensorial shapes)."""
-    xi = np.asarray(xi, dtype=float)
-    if shape in (Shape.TRI, Shape.PRISM):
-        return abs(1.0 - xi[1])
-    if shape == Shape.PYR:
-        return abs(1.0 - xi[2])
-    if shape == Shape.TET:
-        return min(abs(-xi[1] - xi[2]), abs(1.0 - xi[2]))
-    return np.inf
+    """Smallest collapse denominator |D_a| at xi (inf for tensorial shapes)."""
+    dens = _denominators(spec_for(shape), np.asarray(xi, dtype=float))
+    return min((abs(den) for den in dens), default=np.inf)
 
 
 def random_interior_point(shape, rng, margin=0.0, singular_margin=0.0):

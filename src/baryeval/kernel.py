@@ -16,6 +16,7 @@ precomputed differentiation-matrix rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +64,12 @@ class EvalResult:
 
 
 def _collocated_index(nodes, eta):
-    """Index of the node collocated with eta, or -1."""
+    """Index of the node collocated with eta, or -1; refuses NaN and +-inf.
+
+    Every evaluation entry point passes its query coordinates through here.
+    """
+    if not math.isfinite(eta):
+        raise InvalidInputError(f"query coordinate {eta} is not finite")
     j = int(np.argmin(np.abs(nodes - eta)))
     if abs(nodes[j] - eta) <= collocation_tolerance(nodes[j]):
         return j

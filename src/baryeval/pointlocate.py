@@ -16,7 +16,7 @@ import numpy as np
 
 from .element import ElementEvaluator
 from .errors import ConfigError, SingularCollapseError
-from .shapes import Shape, centroid, contains_point
+from .shapes import Shape, centroid, contains_point, spec_for
 
 
 @dataclass(frozen=True)
@@ -59,32 +59,6 @@ class LocateResult:
     history: list = field(default_factory=list)
 
 
-# Half-space constraints a.xi <= b describing each reference region.
-_CONSTRAINTS = {
-    Shape.SEGMENT: [((1.0,), 1.0), ((-1.0,), 1.0)],
-    Shape.QUAD: [((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)],
-    Shape.TRI: [((-1, 0), 1.0), ((0, -1), 1.0), ((1, 1), 0.0)],
-    Shape.HEX: [
-        ((1, 0, 0), 1.0), ((-1, 0, 0), 1.0),
-        ((0, 1, 0), 1.0), ((0, -1, 0), 1.0),
-        ((0, 0, 1), 1.0), ((0, 0, -1), 1.0),
-    ],
-    Shape.PRISM: [
-        ((-1, 0, 0), 1.0), ((0, -1, 0), 1.0), ((1, 1, 0), 0.0),
-        ((0, 0, 1), 1.0), ((0, 0, -1), 1.0),
-    ],
-    Shape.PYR: [
-        ((-1, 0, 0), 1.0), ((0, -1, 0), 1.0),
-        ((1, 0, 1), 0.0), ((0, 1, 1), 0.0),
-        ((0, 0, 1), 1.0), ((0, 0, -1), 1.0),
-    ],
-    Shape.TET: [
-        ((-1, 0, 0), 1.0), ((0, -1, 0), 1.0), ((0, 0, -1), 1.0),
-        ((1, 1, 1), -1.0),
-    ],
-}
-
-
 def project_into_region(shape, xi, max_passes=60):
     """Cyclic projection onto the half-spaces of the reference region.
 
@@ -93,7 +67,7 @@ def project_into_region(shape, xi, max_passes=60):
     convex, so the segment to an interior point crosses the boundary once).
     """
     xi = np.array(xi, dtype=float)
-    constraints = [(np.asarray(a, dtype=float), b) for a, b in _CONSTRAINTS[shape]]
+    constraints = [(np.asarray(a, dtype=float), b) for a, b in spec_for(shape).halfspaces]
     for _ in range(max_passes):
         if contains_point(shape, xi, 1e-12):
             return xi

@@ -17,12 +17,27 @@ Reference regions:
     pyramid            xi_1, xi_2 >= -1, xi_1 + xi_3 <= 0, xi_2 + xi_3 <= 0,
                        |xi_3| <= 1
     tetrahedron        xi_q >= -1,  xi_1 + xi_2 + xi_3 <= -1
+
+`SHAPE_SPECS` is the only description of this geometry: the region as
+half-spaces a.xi <= b, and the collapse pairs.  Following the pairs from a
+collapsed axis a gives its chain C(a) (tetrahedron: C(1) = (2, 3),
+C(2) = (3,); pyramid: C(1) = C(2) = (3,)), and every collapse formula follows
+from the chains, with all other coordinates passed through unchanged:
+
+    D_a     = (2 - |C(a)|) - sum_{b in C(a)} xi_b = 2 prod_{b in C(a)} (1 - eta_b)/2
+    eta_a   = 2 (1 + xi_a) / D_a - 1          (-1 where |D_a| < SINGULAR_TOL)
+    xi_a    = (1 + eta_a) prod_{b in C(a)} (1 - eta_b)/2 - 1
+    J[a, a] = 2 / D_a,   J[a, b] = (1 + eta_a) / D_a for b in C(a)
+
+The formulas are written twice over the table: on Python floats for single
+points, where array dispatch would cost more than the arithmetic, and on
+NumPy columns for batches.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,40 +64,76 @@ class ShapeSpec:
     duffy_pairs: tuple        # ((a, b), ...) collapse pairs, a collapses along b
     ancestor_sets: tuple      # g(1), ..., g(d) as frozensets of dimensions
     vertices: tuple           # corner points of the reference region
+    halfspaces: tuple         # ((a, b), ...): the region is a.xi <= b for each row
+    # Derived, 0-based: ((a, C(a), 2 - |C(a)|), ...) per collapsed axis in
+    # descending a, the order the chain rule needs; the half-spaces as sparse
+    # rows (((i, a_i), ...), b).
+    chains: tuple = field(init=False, repr=False, compare=False)
+    region: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        along = dict(self.duffy_pairs)
+        chains = []
+        for a, _ in self.duffy_pairs:
+            chain = []
+            b = a
+            while b in along:
+                b = along[b]
+                chain.append(b - 1)
+            chains.append((a - 1, tuple(chain), 2.0 - len(chain)))
+        region = tuple(
+            (tuple((i, float(c)) for i, c in enumerate(a) if c), float(b))
+            for a, b in self.halfspaces
+        )
+        object.__setattr__(self, "chains", tuple(sorted(chains, reverse=True)))
+        object.__setattr__(self, "region", region)
 
 
 SHAPE_SPECS = {
     Shape.SEGMENT: ShapeSpec(
-        Shape.SEGMENT, 1, (), (frozenset({1}),), ((-1.0,), (1.0,))
+        Shape.SEGMENT, 1, (), (frozenset({1}),), ((-1.0,), (1.0,)),
+        (((1,), 1.0), ((-1,), 1.0)),
     ),
     Shape.QUAD: ShapeSpec(
         Shape.QUAD, 2, (), (frozenset({1}), frozenset({2})),
         ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)),
+        (((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)),
     ),
     Shape.TRI: ShapeSpec(
         Shape.TRI, 2, ((1, 2),), (frozenset({1}), frozenset({1, 2})),
         ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)),
+        (((-1, 0), 1.0), ((0, -1), 1.0), ((1, 1), 0.0)),
     ),
     Shape.HEX: ShapeSpec(
         Shape.HEX, 3, (), (frozenset({1}), frozenset({2}), frozenset({3})),
         tuple((x, y, z) for z in (-1.0, 1.0) for y in (-1.0, 1.0) for x in (-1.0, 1.0)),
+        (((1, 0, 0), 1.0), ((-1, 0, 0), 1.0),
+         ((0, 1, 0), 1.0), ((0, -1, 0), 1.0),
+         ((0, 0, 1), 1.0), ((0, 0, -1), 1.0)),
     ),
     Shape.PRISM: ShapeSpec(
         Shape.PRISM, 3, ((1, 2),),
         (frozenset({1}), frozenset({1, 2}), frozenset({3})),
         tuple((x, y, z) for z in (-1.0, 1.0) for (x, y) in ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))),
+        (((-1, 0, 0), 1.0), ((0, -1, 0), 1.0), ((1, 1, 0), 0.0),
+         ((0, 0, 1), 1.0), ((0, 0, -1), 1.0)),
     ),
     Shape.PYR: ShapeSpec(
         Shape.PYR, 3, ((1, 3), (2, 3)),
         (frozenset({1}), frozenset({2}), frozenset({1, 2, 3})),
         ((-1.0, -1.0, -1.0), (1.0, -1.0, -1.0), (1.0, 1.0, -1.0),
          (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)),
+        (((-1, 0, 0), 1.0), ((0, -1, 0), 1.0),
+         ((1, 0, 1), 0.0), ((0, 1, 1), 0.0),
+         ((0, 0, 1), 1.0), ((0, 0, -1), 1.0)),
     ),
     Shape.TET: ShapeSpec(
         Shape.TET, 3, ((1, 2), (2, 3)),
         (frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3})),
         ((-1.0, -1.0, -1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0),
          (-1.0, -1.0, 1.0)),
+        (((-1, 0, 0), 1.0), ((0, -1, 0), 1.0), ((0, 0, -1), 1.0),
+         ((1, 1, 1), -1.0)),
     ),
 }
 
@@ -112,95 +163,6 @@ def centroid(shape):
     return np.asarray(SHAPE_SPECS[shape].vertices, dtype=float).mean(axis=0)
 
 
-def contains_point(shape, xi, tol):
-    """Whether xi lies in the reference region, inflated by tol."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if len(xi) != dim_of(shape):
-        raise InvalidInputError(f"point has dim {len(xi)}, shape needs {dim_of(shape)}")
-    lo = -1.0 - tol
-    if shape in (Shape.SEGMENT, Shape.QUAD, Shape.HEX):
-        return bool(np.all(np.abs(xi) <= 1.0 + tol))
-    if shape == Shape.TRI:
-        return xi[0] >= lo and xi[1] >= lo and xi[0] + xi[1] <= tol
-    if shape == Shape.PRISM:
-        return (xi[0] >= lo and xi[1] >= lo and xi[0] + xi[1] <= tol
-                and abs(xi[2]) <= 1.0 + tol)
-    if shape == Shape.PYR:
-        return (xi[0] >= lo and xi[1] >= lo
-                and xi[0] + xi[2] <= tol and xi[1] + xi[2] <= tol
-                and abs(xi[2]) <= 1.0 + tol)
-    if shape == Shape.TET:
-        return bool(np.all(xi >= lo)) and xi[0] + xi[1] + xi[2] <= -1.0 + tol
-    raise InvalidInputError(f"unknown shape {shape!r}")
-
-
-def _collapse_coord(numer, den):
-    """2*numer/den - 1, or -1 on the singular face den = 0."""
-    if abs(den) < SINGULAR_TOL:
-        return -1.0
-    return 2.0 * numer / den - 1.0
-
-
-def collapse(shape, xi, region_tol=1e-10):
-    """Map a region point xi to cube coordinates eta (inverse of expand).
-
-    On singular faces the collapsed coordinate degenerates to -1 and the
-    remaining coordinates are kept.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if not contains_point(shape, xi, region_tol):
-        raise OutOfRegionError(f"{xi} lies outside the {shape.value} reference region")
-    if shape in (Shape.SEGMENT, Shape.QUAD, Shape.HEX):
-        return xi.copy()
-    if shape == Shape.TRI:
-        if abs(1.0 - xi[1]) < SINGULAR_TOL:
-            return np.array([-1.0, 1.0])
-        return np.array([_collapse_coord(1.0 + xi[0], 1.0 - xi[1]), xi[1]])
-    if shape == Shape.PRISM:
-        return np.array(
-            [_collapse_coord(1.0 + xi[0], 1.0 - xi[1]), xi[1], xi[2]]
-        )
-    if shape == Shape.PYR:
-        den = 1.0 - xi[2]
-        return np.array(
-            [_collapse_coord(1.0 + xi[0], den), _collapse_coord(1.0 + xi[1], den), xi[2]]
-        )
-    if shape == Shape.TET:
-        return np.array(
-            [
-                _collapse_coord(1.0 + xi[0], -xi[1] - xi[2]),
-                _collapse_coord(1.0 + xi[1], 1.0 - xi[2]),
-                xi[2],
-            ]
-        )
-    raise InvalidInputError(f"unknown shape {shape!r}")
-
-
-def expand(shape, eta):
-    """Map cube coordinates eta to region coordinates xi (inverse of collapse)."""
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if len(eta) != dim_of(shape):
-        raise InvalidInputError(f"point has dim {len(eta)}, shape needs {dim_of(shape)}")
-    if shape in (Shape.SEGMENT, Shape.QUAD, Shape.HEX):
-        return eta.copy()
-    if shape == Shape.TRI:
-        return np.array([0.5 * (1.0 + eta[0]) * (1.0 - eta[1]) - 1.0, eta[1]])
-    if shape == Shape.PRISM:
-        return np.array(
-            [0.5 * (1.0 + eta[0]) * (1.0 - eta[1]) - 1.0, eta[1], eta[2]]
-        )
-    if shape == Shape.PYR:
-        half = 0.5 * (1.0 - eta[2])
-        return np.array(
-            [(1.0 + eta[0]) * half - 1.0, (1.0 + eta[1]) * half - 1.0, eta[2]]
-        )
-    if shape == Shape.TET:
-        xi2 = 0.5 * (1.0 + eta[1]) * (1.0 - eta[2]) - 1.0
-        xi1 = 0.25 * (1.0 + eta[0]) * (1.0 - eta[1]) * (1.0 - eta[2]) - 1.0
-        return np.array([xi1, xi2, eta[2]])
-    raise InvalidInputError(f"unknown shape {shape!r}")
-
-
 def ancestors(shape, q):
     """The set of dimensions whose degrees accumulate onto dimension q."""
     spec = SHAPE_SPECS[shape]
@@ -225,103 +187,91 @@ def exactness_contains(shape, k, alpha):
     return True
 
 
-def contains_batch(shape, xis, tol):
-    """Vectorized contains_point over an (M, d) array of points."""
-    xis = np.asarray(xis, dtype=float)
-    lo = -1.0 - tol
-    if shape in (Shape.SEGMENT, Shape.QUAD, Shape.HEX):
-        return np.all(np.abs(xis) <= 1.0 + tol, axis=1)
-    if shape == Shape.TRI:
-        return (xis >= lo).all(axis=1) & (xis[:, 0] + xis[:, 1] <= tol)
-    if shape == Shape.PRISM:
-        return ((xis[:, :2] >= lo).all(axis=1)
-                & (xis[:, 0] + xis[:, 1] <= tol)
-                & (np.abs(xis[:, 2]) <= 1.0 + tol))
-    if shape == Shape.PYR:
-        return ((xis[:, :2] >= lo).all(axis=1)
-                & (xis[:, 0] + xis[:, 2] <= tol)
-                & (xis[:, 1] + xis[:, 2] <= tol)
-                & (np.abs(xis[:, 2]) <= 1.0 + tol))
-    if shape == Shape.TET:
-        return (xis >= lo).all(axis=1) & (xis.sum(axis=1) <= -1.0 + tol)
-    raise InvalidInputError(f"unknown shape {shape!r}")
+# ---------------------------------------------------------------------------
+# Single points on Python floats.
+# ---------------------------------------------------------------------------
 
 
-def _collapse_coord_batch(numer, den):
-    safe = np.where(np.abs(den) < SINGULAR_TOL, 1.0, den)
-    return np.where(np.abs(den) < SINGULAR_TOL, -1.0, 2.0 * numer / safe - 1.0)
+def _floats(spec, xi):
+    """xi as a list of floats of the shape's dimension."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if len(xi) != spec.dim:
+        raise InvalidInputError(f"point has dim {len(xi)}, shape needs {spec.dim}")
+    return xi.tolist()
 
 
-def collapse_batch(shape, xis):
-    """Vectorized collapse over an (M, d) array of in-region points."""
-    xis = np.asarray(xis, dtype=float)
-    if shape in (Shape.SEGMENT, Shape.QUAD, Shape.HEX):
-        return xis.copy()
-    if shape == Shape.TRI:
-        eta1 = _collapse_coord_batch(1.0 + xis[:, 0], 1.0 - xis[:, 1])
-        eta2 = np.where(np.abs(1.0 - xis[:, 1]) < SINGULAR_TOL, 1.0, xis[:, 1])
-        return np.stack([eta1, eta2], axis=1)
-    if shape == Shape.PRISM:
-        eta1 = _collapse_coord_batch(1.0 + xis[:, 0], 1.0 - xis[:, 1])
-        return np.stack([eta1, xis[:, 1], xis[:, 2]], axis=1)
-    if shape == Shape.PYR:
-        den = 1.0 - xis[:, 2]
-        return np.stack(
-            [
-                _collapse_coord_batch(1.0 + xis[:, 0], den),
-                _collapse_coord_batch(1.0 + xis[:, 1], den),
-                xis[:, 2],
-            ],
-            axis=1,
+def _inside(spec, x, tol):
+    """Region test; a NaN coordinate fails every half-space it enters."""
+    for row, b in spec.region:
+        s = 0.0
+        for i, c in row:
+            s += c * x[i]
+        if not s <= b + tol:
+            return False
+    return True
+
+
+def _collapse(spec, x):
+    """Cube coordinates of the region point x, without a region test."""
+    eta = list(x)
+    for a, chain, den in spec.chains:
+        for b in chain:
+            den -= x[b]
+        eta[a] = -1.0 if abs(den) < SINGULAR_TOL else 2.0 * (1.0 + x[a]) / den - 1.0
+    return eta
+
+
+def _factors(spec, eta, eps_sing=SINGULAR_TOL):
+    """(a, C(a), J[a, a], J[a, b] for b in C(a)) per collapsed axis at eta."""
+    out = []
+    for a, chain, _ in spec.chains:
+        den = 2.0
+        for b in chain:
+            den *= 0.5 * (1.0 - eta[b])
+        if abs(den) < eps_sing:
+            raise SingularCollapseError(f"collapse singular at eta={np.asarray(eta)}")
+        out.append((a, chain, 2.0 / den, (1.0 + eta[a]) / den))
+    return out
+
+
+def _chain_rule(spec, eta, geta):
+    """Region-space gradient J^T geta from the cube-space gradient geta.
+
+    Axis a's own entry is set before the axes collapsing along it add into
+    it, which the descending order of the chains guarantees.
+    """
+    out = list(geta)
+    for a, chain, diag, off in _factors(spec, eta):
+        g = geta[a]
+        out[a] = diag * g
+        off *= g
+        for b in chain:
+            out[b] += off
+    return out
+
+
+def contains_point(shape, xi, tol):
+    """Whether xi lies in the reference region, inflated by tol.
+
+    A point with a NaN or infinite coordinate is never inside.
+    """
+    spec = SHAPE_SPECS[shape]
+    return _inside(spec, _floats(spec, xi), tol)
+
+
+def collapse(shape, xi, region_tol=1e-10):
+    """Map a region point xi to cube coordinates eta (inverse of expand).
+
+    On singular faces the collapsed coordinate degenerates to -1 and the
+    remaining coordinates are kept.
+    """
+    spec = SHAPE_SPECS[shape]
+    x = _floats(spec, xi)
+    if not _inside(spec, x, region_tol):
+        raise OutOfRegionError(
+            f"{np.array(x)} lies outside the {shape.value} reference region"
         )
-    if shape == Shape.TET:
-        return np.stack(
-            [
-                _collapse_coord_batch(1.0 + xis[:, 0], -xis[:, 1] - xis[:, 2]),
-                _collapse_coord_batch(1.0 + xis[:, 1], 1.0 - xis[:, 2]),
-                xis[:, 2],
-            ],
-            axis=1,
-        )
-    raise InvalidInputError(f"unknown shape {shape!r}")
-
-
-def jacobian_batch(shape, etas, eps_sing=SINGULAR_TOL):
-    """Vectorized jacobian over an (M, d) array of cube points."""
-    etas = np.asarray(etas, dtype=float)
-    m, d = etas.shape
-    jac = np.tile(np.eye(d), (m, 1, 1))
-    if shape in (Shape.SEGMENT, Shape.QUAD, Shape.HEX):
-        return jac
-    if shape in (Shape.TRI, Shape.PRISM):
-        den = 1.0 - etas[:, 1]
-        if np.any(np.abs(den) < eps_sing):
-            raise SingularCollapseError("collapse singular at a batch point")
-        jac[:, 0, 0] = 2.0 / den
-        jac[:, 0, 1] = jac[:, 0, 0] * (etas[:, 0] + 1.0) / 2.0
-        return jac
-    if shape == Shape.PYR:
-        den = 1.0 - etas[:, 2]
-        if np.any(np.abs(den) < eps_sing):
-            raise SingularCollapseError("collapse singular at a batch point")
-        g = 2.0 / den
-        jac[:, 0, 0] = g
-        jac[:, 0, 2] = g * (etas[:, 0] + 1.0) / 2.0
-        jac[:, 1, 1] = g
-        jac[:, 1, 2] = g * (etas[:, 1] + 1.0) / 2.0
-        return jac
-    if shape == Shape.TET:
-        u = 0.5 * (1.0 - etas[:, 1]) * (1.0 - etas[:, 2])
-        den = 1.0 - etas[:, 2]
-        if np.any(np.abs(u) < eps_sing) or np.any(np.abs(den) < eps_sing):
-            raise SingularCollapseError("collapse singular at a batch point")
-        jac[:, 0, 0] = 2.0 / u
-        jac[:, 0, 1] = (1.0 + etas[:, 0]) / u
-        jac[:, 0, 2] = jac[:, 0, 1]
-        jac[:, 1, 1] = 2.0 / den
-        jac[:, 1, 2] = (1.0 + etas[:, 1]) / den
-        return jac
-    raise InvalidInputError(f"unknown shape {shape!r}")
+    return np.array(_collapse(spec, x))
 
 
 def jacobian(shape, eta, eps_sing=SINGULAR_TOL):
@@ -330,43 +280,96 @@ def jacobian(shape, eta, eps_sing=SINGULAR_TOL):
     Well defined only away from singular faces (every collapse denominator at
     least eps_sing in magnitude).
     """
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    d = dim_of(shape)
-    if len(eta) != d:
-        raise InvalidInputError(f"point has dim {len(eta)}, shape needs {d}")
-    if shape in (Shape.SEGMENT, Shape.QUAD, Shape.HEX):
-        return np.eye(d)
-    if shape in (Shape.TRI, Shape.PRISM):
-        den = 1.0 - eta[1]
-        if abs(den) < eps_sing:
-            raise SingularCollapseError(f"collapse singular at eta={eta}")
-        g1 = 2.0 / den
-        g2 = g1 * (eta[0] + 1.0) / 2.0
-        jac = np.eye(d)
-        jac[0, 0] = g1
-        jac[0, 1] = g2
-        return jac
-    if shape == Shape.PYR:
-        den = 1.0 - eta[2]
-        if abs(den) < eps_sing:
-            raise SingularCollapseError(f"collapse singular at eta={eta}")
-        g = 2.0 / den
-        jac = np.eye(3)
-        jac[0, 0] = g
-        jac[0, 2] = g * (eta[0] + 1.0) / 2.0
-        jac[1, 1] = g
-        jac[1, 2] = g * (eta[1] + 1.0) / 2.0
-        return jac
-    if shape == Shape.TET:
-        u = 0.5 * (1.0 - eta[1]) * (1.0 - eta[2])  # equals -xi_2 - xi_3
-        den = 1.0 - eta[2]
-        if abs(u) < eps_sing or abs(den) < eps_sing:
-            raise SingularCollapseError(f"collapse singular at eta={eta}")
-        jac = np.eye(3)
-        jac[0, 0] = 2.0 / u
-        jac[0, 1] = (1.0 + eta[0]) / u
-        jac[0, 2] = (1.0 + eta[0]) / u
-        jac[1, 1] = 2.0 / den
-        jac[1, 2] = (1.0 + eta[1]) / den
-        return jac
-    raise InvalidInputError(f"unknown shape {shape!r}")
+    spec = SHAPE_SPECS[shape]
+    jac = np.eye(spec.dim)
+    for a, chain, diag, off in _factors(spec, _floats(spec, eta), eps_sing):
+        jac[a, a] = diag
+        for b in chain:
+            jac[a, b] = off
+    return jac
+
+
+def expand(shape, eta):
+    """Map cube coordinates eta to region coordinates xi (inverse of collapse)."""
+    spec = SHAPE_SPECS[shape]
+    return expand_batch(shape, [_floats(spec, eta)])[0]
+
+
+# ---------------------------------------------------------------------------
+# Batches of points on NumPy columns.
+# ---------------------------------------------------------------------------
+
+
+def _denominators(spec, x):
+    """D_a per collapsed axis; x holds NumPy columns or one point's floats."""
+    out = []
+    for _, chain, den in spec.chains:
+        for b in chain:
+            den = den - x[b]
+        out.append(den)
+    return out
+
+
+def _rows(spec, pts):
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != spec.dim:
+        raise InvalidInputError(
+            f"points have shape {pts.shape}, shape needs (M, {spec.dim})"
+        )
+    return pts
+
+
+def contains_batch(shape, xis, tol):
+    """Vectorized contains_point over an (M, d) array of points."""
+    spec = SHAPE_SPECS[shape]
+    xis = _rows(spec, xis)
+    inside = np.ones(len(xis), dtype=bool)
+    for row, b in spec.region:
+        s = 0.0
+        for i, c in row:
+            s = s + c * xis[:, i]
+        inside &= s <= b + tol
+    return inside
+
+
+def collapse_batch(shape, xis):
+    """Vectorized collapse over an (M, d) array of in-region points."""
+    spec = SHAPE_SPECS[shape]
+    xis = _rows(spec, xis)
+    etas = xis.copy()
+    for (a, _, _), den in zip(spec.chains, _denominators(spec, xis.T)):
+        singular = np.abs(den) < SINGULAR_TOL
+        safe = np.where(singular, 1.0, den)
+        etas[:, a] = np.where(singular, -1.0, 2.0 * (1.0 + xis[:, a]) / safe - 1.0)
+    return etas
+
+
+def jacobian_batch(shape, etas, eps_sing=SINGULAR_TOL):
+    """Vectorized jacobian over an (M, d) array of cube points."""
+    spec = SHAPE_SPECS[shape]
+    etas = _rows(spec, etas)
+    m, d = etas.shape
+    jac = np.tile(np.eye(d), (m, 1, 1))
+    for a, chain, _ in spec.chains:
+        den = 2.0
+        for b in chain:
+            den = den * (0.5 * (1.0 - etas[:, b]))
+        if np.any(np.abs(den) < eps_sing):
+            raise SingularCollapseError("collapse singular at a batch point")
+        jac[:, a, a] = 2.0 / den
+        for b in chain:
+            jac[:, a, b] = (1.0 + etas[:, a]) / den
+    return jac
+
+
+def expand_batch(shape, etas):
+    """Vectorized expand over an (M, d) array of cube points."""
+    spec = SHAPE_SPECS[shape]
+    etas = _rows(spec, etas)
+    xis = etas.copy()
+    for a, chain, _ in spec.chains:
+        x = 1.0 + etas[:, a]
+        for b in chain:
+            x = x * (0.5 * (1.0 - etas[:, b]))
+        xis[:, a] = x - 1.0
+    return xis

@@ -22,7 +22,7 @@ from baryeval.fields import (
     monomial_field,
     random_interior_point,
 )
-from baryeval.shapes import dim_of
+from baryeval.shapes import centroid, dim_of
 from baryeval.tensor import TensorBasis
 
 GLL = NodeKind.GAUSS_LOBATTO_LEGENDRE
@@ -194,3 +194,15 @@ def test_phys_evaluate_1d_only_for_segments():
     ev = ElementEvaluator.for_order(Shape.QUAD, 2, lambda xi: 0.0)
     with pytest.raises(InvalidInputError):
         ev.phys_evaluate_1d(0.1)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_refused(shape, bad):
+    ev = ElementEvaluator.for_order(shape, 3, benchmark_field(dim_of(shape)).eval)
+    for q in range(dim_of(shape)):
+        xi = centroid(shape)
+        xi[q] = bad
+        for gradient in (False, True):
+            with pytest.raises(OutOfRegionError):
+                ev.phys_evaluate(xi, gradient=gradient)

@@ -40,6 +40,14 @@ def test_s_sum_errors(ns3):
         s_sum(1, np.ones(4), ns3, 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_refused(ns3, bad):
+    with pytest.raises(InvalidInputError):
+        bary_evaluate(ns3, [1.0, 0.0, 1.0], bad, deriv=2)
+    with pytest.raises(InvalidInputError):
+        s_sum(1, np.ones(3), ns3, bad)
+
+
 def test_bary_evaluate_quadratic(ns3):
     vals = [1.0, 0.0, 1.0]  # eta^2 on {-1, 0, 1}
     res = bary_evaluate(ns3, vals, 0.5, deriv=2)

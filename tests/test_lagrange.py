@@ -20,7 +20,7 @@ from baryeval import (
 )
 from baryeval.fields import random_interior_point
 from baryeval.lagrange import cardinal_values, cardinal_values_and_derivatives
-from baryeval.shapes import dim_of
+from baryeval.shapes import centroid, dim_of
 
 
 def test_segment_row_example():
@@ -157,3 +157,14 @@ def test_cardinal_derivatives_exact_at_nodes():
     cards, dcards = cardinal_values_and_derivatives(ns.nodes, ns.nodes)
     assert np.allclose(cards, np.eye(6), atol=1e-14)
     assert np.max(np.abs(dcards - ns.d1)) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_refused(shape, bad):
+    basis = basis_for_order(shape, 3)
+    points = np.array([centroid(shape)] * 2)
+    points[1, -1] = bad
+    for want_derivs in (False, True):
+        with pytest.raises(OutOfRegionError):
+            build_operator(shape, basis, points, want_derivs=want_derivs)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -15,13 +17,16 @@ from baryeval import (
     jacobian,
     shape_from_name,
 )
+from baryeval.bench import sampling_points
 from baryeval.fields import random_interior_point, singular_distance
 from baryeval.shapes import (
     SHAPE_SPECS,
+    SINGULAR_TOL,
     centroid,
     collapse_batch,
     contains_batch,
     dim_of,
+    expand_batch,
     jacobian_batch,
 )
 
@@ -205,6 +210,13 @@ def test_degree_accumulation(shape):
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
+def _denominators_from_jacobian(shape, eta):
+    """min |D_a| over collapsed axes a, read off J[a, a] = 2 / D_a."""
+    jac = jacobian(shape, eta)
+    return min((2.0 / abs(jac[a - 1, a - 1]) for a, _ in SHAPE_SPECS[shape].duffy_pairs),
+               default=np.inf)
+
+
 @pytest.mark.parametrize("shape", ALL_SHAPES)
 def test_batch_helpers_match_scalar(shape):
     rng = np.random.default_rng(19)
@@ -219,6 +231,47 @@ def test_batch_helpers_match_scalar(shape):
         eta = collapse(shape, xi)
         assert np.allclose(batch[i], eta, atol=1e-15)
         assert np.allclose(jbatch[i], jacobian(shape, eta), atol=1e-12)
+        assert singular_distance(shape, xi) == pytest.approx(
+            _denominators_from_jacobian(shape, eta), rel=1e-12)
+    # boundary inputs: the vertices and the benchmark's fixed sampling grid
+    edge = np.vstack([SHAPE_SPECS[shape].vertices, sampling_points(shape)])
+    for tol in (0.0, 1e-10):
+        assert (contains_batch(shape, edge, tol).tolist()
+                == [contains_point(shape, xi, tol) for xi in edge])
+    assert contains_batch(shape, edge, 1e-10).all()
+    etas = collapse_batch(shape, edge)
+    assert np.array_equal(etas, [collapse(shape, xi) for xi in edge])
+    assert np.array_equal(expand_batch(shape, etas), [expand(shape, eta) for eta in etas])
+    for xi, eta in zip(edge, etas):
+        if singular_distance(shape, xi) < SINGULAR_TOL:
+            with pytest.raises(SingularCollapseError):
+                jacobian(shape, eta)
+        else:
+            assert singular_distance(shape, xi) == pytest.approx(
+                _denominators_from_jacobian(shape, eta), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_vertices_satisfy_halfspaces_and_are_corner_images(shape):
+    spec = SHAPE_SPECS[shape]
+    images = [expand(shape, c) for c in product((-1.0, 1.0), repeat=spec.dim)]
+    for v in spec.vertices:
+        assert all(np.dot(a, v) <= b for a, b in spec.halfspaces)
+        assert any(np.array_equal(v, x) for x in images)
+    for x in images:
+        assert any(np.array_equal(v, x) for v in spec.vertices)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_outside(shape, bad):
+    for q in range(dim_of(shape)):
+        xi = centroid(shape)
+        xi[q] = bad
+        assert not contains_point(shape, xi, 1e-10)
+        assert not contains_batch(shape, xi[None, :], 1e-10)[0]
+        with pytest.raises(OutOfRegionError):
+            collapse(shape, xi)
 
 
 def test_centroid_is_interior():

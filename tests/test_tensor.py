@@ -182,3 +182,17 @@ def test_input_validation():
         tensor_evaluate(basis, FieldValues(np.zeros(5)), [0.1, 0.2])
     with pytest.raises(InvalidInputError):
         TensorBasis(tuple(make_node_set(NodeKind.EQUISPACED, 3) for _ in range(4)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_refused(bad):
+    basis = _basis((4, 5, 3))
+    field = FieldValues(np.ones(basis.size))
+    for q in range(3):
+        eta = np.array([0.3, -0.2, 0.1])
+        eta[q] = bad
+        for gradient in (False, True):
+            with pytest.raises(InvalidInputError):
+                tensor_evaluate(basis, field, eta, gradient=gradient)
+        with pytest.raises(InvalidInputError):
+            multi_bary_direct(basis, field, eta)
