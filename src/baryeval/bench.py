@@ -155,10 +155,12 @@ class _ScalarElement:
 class _BarySweep:
     """Per-point barycentric sweep: collapse, contract, chain rule.
 
-    The stage-1 contraction touches every field value once and runs as a
-    single matrix-vector product (the bulk primitive, mirroring the matrix
-    method's bulk apply); the remaining reductions over n2/n3 intermediate
-    lines are scalar loops.
+    In 2D and 3D the stage-1 contraction touches every field value once and
+    runs as a single matrix-vector product (the bulk primitive, mirroring the
+    matrix method's bulk apply); the remaining reductions over n2/n3
+    intermediate lines are scalar loops.  In 1D the one line of n values is
+    reduced by a scalar loop too, so the sweep counts arithmetic, not array
+    dispatch.
     """
 
     def __init__(self, evaluator, points, quantity):
@@ -169,7 +171,6 @@ class _BarySweep:
         self.znp = [ax.nodes for ax in basis.axes]
         self.wnp = [ax.weights for ax in basis.axes]
         self.d1np = [ax.d1 for ax in basis.axes]
-        self.d2np = basis.axes[0].d2
         data = evaluator.field.data
         n1 = basis.counts[0]
         self.lines_np = data.reshape(len(data) // n1, n1)
@@ -233,32 +234,33 @@ class _BarySweep:
         grads = []
         d2s = []
         if el.dim == 1:
-            z, w = self.znp[0], self.wnp[0]
-            data = el.field
+            z, w, data = el.z[0], el.w[0], el.lines
             for (e1,) in self.pts:
-                x = z - e1
-                j = int(np.argmin(np.abs(x)))
-                if -SNAP_TOL <= x[j] <= SNAP_TOL:
+                x = [zj - e1 for zj in z]
+                dist = list(map(abs, x))
+                nearest = min(dist)
+                if nearest <= SNAP_TOL:
+                    j = dist.index(nearest)
                     values.append(data[j])
                     if deriv:
-                        grads.append((float(self.d1np[0][j] @ data),))
+                        grads.append((sum(map(_mul, el.d1rows[0][j], data)),))
                     if q == Q_VALUE_D1_D2:
-                        d2s.append(float(self.d2np[j] @ data))
+                        d2s.append(sum(map(_mul, el.d2rows[j], data)))
                     continue
-                t1 = w / x
-                a = float(t1 @ data)
-                f = float(t1.sum())
+                t1 = [wj / xj for wj, xj in zip(w, x)]
+                a = sum(map(_mul, t1, data))
+                f = sum(t1)
                 values.append(a / f)
                 if deriv:
-                    t2 = t1 / x
-                    b = float(t2 @ data)
-                    c = float(t2.sum())
+                    t2 = [t / xj for t, xj in zip(t1, x)]
+                    b = sum(map(_mul, t2, data))
+                    c = sum(t2)
                     ff = f * f
                     grads.append(((b * f - a * c) / ff,))
                     if q == Q_VALUE_D1_D2:
-                        t3 = t2 / x
-                        d = float(t3 @ data)
-                        e = float(t3.sum())
+                        t3 = [t / xj for t, xj in zip(t2, x)]
+                        d = sum(map(_mul, t3, data))
+                        e = sum(t3)
                         ac = a * c
                         d2s.append((2 * d) / f - (2 * e * a) / ff
                                    - (2 * b * c) / ff + (2 * c * ac) / (ff * f))

@@ -1,10 +1,17 @@
 """Shape-aware arbitrary-point evaluation.
 
-An ElementEvaluator owns a shape, a tensor basis and a field sampled on the
-shape's grid.  Evaluation collapses the query point to cube coordinates, runs
-the tensor kernel there and maps gradients back with the collapse Jacobian:
+An ElementEvaluator owns a shape, a tensor basis and one field, or several
+fields, sampled on the shape's grid.  Evaluation collapses the query point to
+cube coordinates, contracts the samples of every field with one set of
+per-axis cardinal rows there (`tensor._contract`), and maps gradients back
+with the collapse Jacobian:
 
     grad_xi p = J^T grad_eta p,    J[i, j] = d(eta_i)/d(xi_j).
+
+Cube coordinates within SNAP_TOL of a basis node are snapped onto it while
+the rows are built, so such points take the collocated branch and the chain
+rule sees the snapped coordinates.  Several fields on one basis cost one
+contraction per point; `pointlocate` evaluates all d coordinate maps so.
 
 Axes that appear as the `along` dimension of a collapse pair use Radau points
 anchored at -1 so that no grid node touches the singular value +1; all other
@@ -20,7 +27,7 @@ from .errors import InvalidInputError, OutOfRegionError
 from .kernel import EvalResult, _kernel
 from .nodes import NodeKind, make_node_set
 from .shapes import Shape, _chain_rule, collapse, contains_point, dim_of, expand_batch, spec_for
-from .tensor import FieldValues, TensorBasis, eta_grid, tensor_evaluate
+from .tensor import FieldValues, TensorBasis, _contract, eta_grid
 
 REGION_TOL = 1e-10
 
@@ -29,14 +36,6 @@ REGION_TOL = 1e-10
 # restores the exact collocation branch.  The value perturbation for genuinely
 # distinct points is below 1e-12 times the field derivative.
 SNAP_TOL = 1e-12
-
-
-def _snap_to_nodes(basis, eta):
-    for q, ax in enumerate(basis.axes):
-        j = int(np.argmin(np.abs(ax.nodes - eta[q])))
-        if abs(ax.nodes[j] - eta[q]) <= SNAP_TOL:
-            eta[q] = ax.nodes[j]
-    return eta
 
 
 def axis_kinds(shape):
@@ -73,17 +72,27 @@ def sample_field(shape, basis, func):
 
 
 class ElementEvaluator:
-    """Arbitrary-point evaluation of one field on one reference element."""
+    """Arbitrary-point evaluation of fields on one reference element.
+
+    `field` is one FieldValues, or a tuple of F of them on the same basis.
+    With one field a result holds a float value and a (d,) gradient; with a
+    tuple it holds (F,) values and an (F, d) gradient, one row per field.
+    """
 
     def __init__(self, shape, basis, field):
         if basis.dim != dim_of(shape):
             raise InvalidInputError(
                 f"basis dim {basis.dim} does not match {shape.value} dim {dim_of(shape)}"
             )
-        if len(field) != basis.size:
-            raise InvalidInputError(
-                f"field has {len(field)} values, grid has {basis.size}"
-            )
+        single = not isinstance(field, tuple)
+        fields = (field,) if single else field
+        if not fields:
+            raise InvalidInputError("an evaluator needs at least one field")
+        for f in fields:
+            if len(f) != basis.size:
+                raise InvalidInputError(
+                    f"field has {len(f)} values, grid has {basis.size}"
+                )
         along = {b for _, b in spec_for(shape).duffy_pairs}
         for q in along:
             if basis.axes[q - 1].nodes[-1] >= 1.0:
@@ -94,6 +103,9 @@ class ElementEvaluator:
         self.shape = shape
         self.basis = basis
         self.field = field
+        self._single = single
+        self._spec = spec_for(shape)
+        self._data = np.stack([f.data for f in fields])
 
     @classmethod
     def for_order(cls, shape, order, func):
@@ -106,22 +118,26 @@ class ElementEvaluator:
         return sum(ax.n for ax in self.basis.axes)
 
     def phys_evaluate(self, xi, gradient=False):
-        """Value (and gradient) at a region point xi.
+        """Value (and gradient) at a region point xi, for every field.
 
         Value-only queries succeed on singular faces through the degenerate
         collapse branch; gradient queries there raise SingularCollapseError.
         """
-        eta = _snap_to_nodes(self.basis, collapse(self.shape, xi, REGION_TOL))
-        res = tensor_evaluate(self.basis, self.field, eta, gradient=gradient)
-        if not gradient:
-            return res
-        grad = _chain_rule(spec_for(self.shape), eta.tolist(), res.d1.tolist())
-        return EvalResult(res.value, np.array(grad))
+        eta = collapse(self.shape, xi, REGION_TOL).tolist()
+        parts, eta = _contract(self.basis, self._data, eta, gradient, SNAP_TOL)
+        grads = None
+        if gradient:
+            grads = np.array([_chain_rule(self._spec, eta, g) for g in parts[1:].T.tolist()])
+        if self._single:
+            return EvalResult(float(parts[0, 0]), None if grads is None else grads[0])
+        return EvalResult(parts[0], grads)
 
     def phys_evaluate_1d(self, xi, deriv=0):
         """Segment evaluation with derivatives up to order 2."""
         if self.shape is not Shape.SEGMENT:
             raise InvalidInputError("phys_evaluate_1d applies to segments only")
+        if not self._single:
+            raise InvalidInputError("phys_evaluate_1d evaluates a single field")
         xi = float(np.atleast_1d(np.asarray(xi, dtype=float))[0])
         if not contains_point(self.shape, [xi], REGION_TOL):
             raise OutOfRegionError(f"{xi} lies outside [-1, 1]")

@@ -12,6 +12,11 @@ with A, F the weighted sums of v_j*w_j/x_j and w_j/x_j, B, C the analogous
 1/x^2 sums and D, E the 1/x^3 sums.  A query collocated with node j skips the
 sums entirely and returns the stored sample, with derivatives taken from the
 precomputed differentiation-matrix rows.
+
+This is the 1D path with second derivatives (`bary_evaluate`, `s_sum`,
+`ElementEvaluator.phys_evaluate_1d`); values and gradients on every shape go
+through the cardinal rows of `tensor._contract`.  On both paths `counters`
+counts one reduction per line reduced.
 """
 
 from __future__ import annotations
@@ -107,43 +112,8 @@ def bary_evaluate(nodeset, values, eta, deriv=0):
     )
 
 
-def _kernel_lines(nodeset, lines, eta, deriv):
-    """Apply the kernel along the last axis of an (L, n) stack of lines.
-
-    All lines share the same query coordinate, so the collocation branch and
-    the inverse-difference tables are computed once; this counts as L kernel
-    reductions.  Returns (values, first derivatives or None).
-    """
-    z = nodeset.nodes
-    rows, n = lines.shape
-    if counters.enabled:
-        counters.kernel_calls += rows
-        counters.per_call_nodes.extend([n] * rows)
-
-    j = _collocated_index(z, eta)
-    if j >= 0:
-        vals = lines[:, j].copy()
-        d1s = lines @ nodeset.d1[j] if deriv >= 1 else None
-        return vals, d1s
-
-    x = z - eta
-    t1 = nodeset.weights / x
-    a = lines @ t1
-    f = t1.sum()
-    vals = a / f
-    d1s = None
-    if deriv >= 1:
-        t2 = t1 / x
-        b = lines @ t2
-        c = t2.sum()
-        d1s = (b * f - a * c) / (f * f)
-    if counters.enabled:
-        counters.divisions += rows * (n * (deriv + 1) + (1, 2)[min(deriv, 1)])
-    return vals, d1s
-
-
 def _kernel(nodeset, values, eta, deriv):
-    """Hot path shared by the tensor contraction; returns plain floats."""
+    """One pass over the nodes; returns plain floats."""
     z = nodeset.nodes
     n = len(z)
     if counters.enabled:

@@ -2,10 +2,11 @@
 image matches a target point.
 
 Minimizes f(xi) = 0.5 * ||X(xi) - target||^2 where the coordinate maps X_i are
-fields sampled on the element grid and evaluated barycentrically.  The search
-uses a BFGS inverse-Hessian approximation with Armijo backtracking from a unit
-step; iterates leaving the reference region are projected back onto the
-violated constraints.
+fields sampled on the element grid and evaluated barycentrically, all d of
+them by one evaluator in one contraction per point.  The search uses a BFGS
+inverse-Hessian approximation with Armijo backtracking from a unit step;
+iterates leaving the reference region are projected back onto the violated
+constraints.
 """
 
 from __future__ import annotations
@@ -92,14 +93,12 @@ def locate(problem):
     cfg = problem.config
     target = np.asarray(problem.target, dtype=float)
     d = len(problem.coord_fields)
-    evaluators = [
-        ElementEvaluator(shape, problem.basis, f) for f in problem.coord_fields
-    ]
+    coords = ElementEvaluator(shape, problem.basis, tuple(problem.coord_fields))
     scale = max(1.0, float(np.linalg.norm(target)))
     mid = centroid(shape)
 
     def coords_at(xi):
-        return np.array([ev.phys_evaluate(xi).value for ev in evaluators])
+        return coords.phys_evaluate(xi).value
 
     def f_of(xi):
         r = coords_at(xi) - target
@@ -108,15 +107,14 @@ def locate(problem):
     def grad_and_f(xi):
         for attempt in range(2):
             try:
-                results = [ev.phys_evaluate(xi, gradient=True) for ev in evaluators]
+                res = coords.phys_evaluate(xi, gradient=True)
                 break
             except SingularCollapseError:
                 if attempt:
                     raise
                 xi = xi + 1e-9 * (mid - xi)  # step off the singular face
-        x = np.array([r.value for r in results])
-        jac_x = np.stack([r.d1 for r in results])  # rows are grad X_i
-        r = x - target
+        jac_x = res.d1  # rows are grad X_i
+        r = res.value - target
         return 0.5 * float(r @ r), jac_x.T @ r, float(np.linalg.norm(r)), xi
 
     xi = np.array(cfg.init if cfg.init is not None else mid, dtype=float)

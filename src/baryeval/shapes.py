@@ -29,6 +29,11 @@ from the chains, with all other coordinates passed through unchanged:
     xi_a    = (1 + eta_a) prod_{b in C(a)} (1 - eta_b)/2 - 1
     J[a, a] = 2 / D_a,   J[a, b] = (1 + eta_a) / D_a for b in C(a)
 
+Collapse clamps every eta into [-1, 1]: a point admitted by a region
+tolerance but outside the region would otherwise map far outside the cube
+next to a collapsed vertex, where D_a is tiny, and evaluation would
+extrapolate.
+
 The formulas are written twice over the table: on Python floats for single
 points, where array dispatch would cost more than the arithmetic, and on
 NumPy columns for batches.
@@ -218,7 +223,7 @@ def _collapse(spec, x):
         for b in chain:
             den -= x[b]
         eta[a] = -1.0 if abs(den) < SINGULAR_TOL else 2.0 * (1.0 + x[a]) / den - 1.0
-    return eta
+    return [-1.0 if e < -1.0 else 1.0 if e > 1.0 else e for e in eta]
 
 
 def _factors(spec, eta, eps_sing=SINGULAR_TOL):
@@ -341,7 +346,7 @@ def collapse_batch(shape, xis):
         singular = np.abs(den) < SINGULAR_TOL
         safe = np.where(singular, 1.0, den)
         etas[:, a] = np.where(singular, -1.0, 2.0 * (1.0 + xis[:, a]) / safe - 1.0)
-    return etas
+    return np.clip(etas, -1.0, 1.0, out=etas)
 
 
 def jacobian_batch(shape, etas, eps_sing=SINGULAR_TOL):

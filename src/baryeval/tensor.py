@@ -7,12 +7,13 @@ line for fixed (j2, j3) starts at offset (j3*n2 + j2)*n1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CollocationError, InvalidInputError
-from .kernel import EvalResult, _collocated_index, _kernel, _kernel_lines
+from .kernel import EvalResult, _collocated_index, collocation_tolerance, counters
 
 
 @dataclass(frozen=True)
@@ -74,50 +75,88 @@ def _check_field(basis, fieldvalues):
         )
 
 
+def _axis_rows(ax, e, gradient, tol):
+    """Cardinal rows of one axis at coordinate e, and e snapped onto a node.
+
+    Returns l, or [l; l'] with gradients, as a (1, n) or (2, n) array.  Within
+    tol of node j the rows are e_j and the differentiation-matrix row d1[j],
+    and e becomes z_j.  Otherwise, with x = z - e and t1 = w / x,
+
+        l = t1 / f,   l' = (t1 / x - l c) / f,   f = sum t1,   c = sum t1 / x.
+    """
+    if not math.isfinite(e):
+        raise InvalidInputError(f"query coordinate {e} is not finite")
+    z = ax.nodes
+    x = z - e
+    j = int(np.abs(x).argmin())
+    if abs(x[j]) <= tol:
+        rows = np.zeros((2 if gradient else 1, ax.n))
+        rows[0, j] = 1.0
+        if gradient:
+            rows[1] = ax.d1[j]
+        return rows, float(z[j])
+    rows = np.empty((2 if gradient else 1, ax.n))
+    t1 = rows[0]
+    np.divide(ax.weights, x, out=t1)
+    if gradient:
+        t2 = rows[1]
+        np.divide(t1, x, out=t2)
+        f, c = np.add.reduce(rows, axis=1).tolist()
+        t2 -= t1 * (c / f)
+    else:
+        f = np.add.reduce(t1)
+    rows /= f
+    if counters.enabled:
+        counters.divisions += 4 * ax.n + 1 if gradient else 2 * ax.n
+    return rows, e
+
+
+def _contract(basis, data, eta, gradient, tol):
+    """Values, and with `gradient` cube-space gradients, of F fields at eta.
+
+    data is (F, N), one field per row in field ordering.  The contraction
+    runs one axis at a time, dimension 1 first, over the parts held so far
+    (value, d/deta_1, ..., d/deta_{q-1} of every field, stacked in that
+    order): every part is reduced with l, and the value part alone also with
+    l', which appends d/deta_q.  Returns the (P, F) parts (P = 1, or 1 + d
+    with gradients) and eta as a list with the coordinates within tol of a
+    node snapped onto it.
+    """
+    parts = data.ravel()
+    eta = list(eta)
+    for q, ax in enumerate(basis.axes):
+        rows, eta[q] = _axis_rows(ax, eta[q], gradient, tol)
+        lines = parts.reshape(-1, ax.n)
+        if counters.enabled:
+            counters.kernel_calls += len(lines)
+            counters.per_call_nodes.extend([ax.n] * len(lines))
+        # Row r of `out` is rows[r] applied to every line, so the l-reduced
+        # parts followed by the l'-reduced value part are a prefix of it.
+        out = (rows @ lines.T).ravel()
+        parts = out[:len(lines) + len(lines) // (q + 1)] if gradient else out
+    return parts.reshape(-1, len(data)), eta
+
+
 def tensor_evaluate(basis, fieldvalues, eta, gradient=False):
     """Evaluate the tensor interpolant (and its gradient) at one point.
 
-    The contraction runs dimension 1 first: each eta_1 line is reduced with the
-    univariate kernel, then the resulting value/derivative lines are reduced
-    along eta_2, then eta_3.  With gradients this takes n2 + 2 kernel calls in
-    2D and n2*n3 + 2*n3 + 3 in 3D (value only: n2 + 1 and n2*n3 + n3 + 1).
+    Per axis q the cardinal rows l (value) and l' (derivative) are built in
+    O(n_q) from the barycentric weights, and the samples are contracted with
+    them dimension 1 first; coordinates within `collocation_tolerance` of a
+    node use the unit row and the differentiation-matrix row instead.  One
+    kernel reduction is one line-row product: with gradients this takes
+    n2 + 2 reductions in 2D and n2*n3 + 2*n3 + 3 in 3D (value only: n2 + 1
+    and n2*n3 + n3 + 1).
     """
     _check_field(basis, fieldvalues)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if len(eta) != basis.dim:
         raise InvalidInputError(f"point has dim {len(eta)}, basis dim {basis.dim}")
-    want = 1 if gradient else 0
-    d = basis.dim
-
-    if d == 1:
-        value, d1, _ = _kernel(basis.axes[0], fieldvalues.data, eta[0], want)
-        return EvalResult(value, np.array([d1]) if gradient else None)
-
-    if d == 2:
-        ax1, ax2 = basis.axes
-        lines = fieldvalues.data.reshape(ax2.n, ax1.n)
-        vals, d1s = _kernel_lines(ax1, lines, eta[0], want)  # n2 reductions
-        if not gradient:
-            value, _, _ = _kernel(ax2, vals, eta[1], 0)
-            return EvalResult(value)
-        dp1, _, _ = _kernel(ax2, d1s, eta[1], 0)
-        value, dp2, _ = _kernel(ax2, vals, eta[1], 1)
-        return EvalResult(value, np.array([dp1, dp2]))
-
-    ax1, ax2, ax3 = basis.axes
-    stacked = fieldvalues.data.reshape(ax3.n * ax2.n, ax1.n)
-    vals, d1s = _kernel_lines(ax1, stacked, eta[0], want)  # n2*n3 reductions
-    vals = vals.reshape(ax3.n, ax2.n)
-    if not gradient:
-        v3, _ = _kernel_lines(ax2, vals, eta[1], 0)  # n3 reductions
-        value, _, _ = _kernel(ax3, v3, eta[2], 0)
-        return EvalResult(value)
-    da, _ = _kernel_lines(ax2, d1s.reshape(ax3.n, ax2.n), eta[1], 0)
-    v3, db = _kernel_lines(ax2, vals, eta[1], 1)
-    dp1, _, _ = _kernel(ax3, da, eta[2], 0)
-    dp2, _, _ = _kernel(ax3, db, eta[2], 0)
-    value, dp3, _ = _kernel(ax3, v3, eta[2], 1)
-    return EvalResult(value, np.array([dp1, dp2, dp3]))
+    # Nodes lie in [-1, 1], where the tolerance is the same for every node.
+    parts, _ = _contract(basis, fieldvalues.data[None], eta, gradient,
+                         collocation_tolerance(1.0))
+    value = float(parts[0, 0])
+    return EvalResult(value, parts[1:, 0]) if gradient else EvalResult(value)
 
 
 def multi_bary_direct(basis, fieldvalues, eta):

@@ -21,8 +21,10 @@ from baryeval.fields import (
     exact_multi_indices,
     monomial_field,
     random_interior_point,
+    singular_distance,
 )
-from baryeval.shapes import centroid, dim_of
+from baryeval.kernel import counters
+from baryeval.shapes import SHAPE_SPECS, SINGULAR_TOL, centroid, collapse, dim_of, expand
 from baryeval.tensor import TensorBasis
 
 GLL = NodeKind.GAUSS_LOBATTO_LEGENDRE
@@ -206,3 +208,135 @@ def test_non_finite_point_refused(shape, bad):
         for gradient in (False, True):
             with pytest.raises(OutOfRegionError):
                 ev.phys_evaluate(xi, gradient=gradient)
+
+
+def test_in_tolerance_point_next_to_a_collapsed_vertex():
+    # Inside the 1e-10 region tolerance, outside the triangle, next to the
+    # collapsed vertex (-1, 1); it must not extrapolate.
+    xi = np.array([-1.0 + 9e-11, 1.0 + 2e-12])
+    ev = ElementEvaluator.for_order(Shape.TRI, 4, benchmark_field(2).eval)
+    assert abs(ev.phys_evaluate(xi).value - benchmark_field(2).eval(xi)) <= 1e-9
+
+
+def _exact_polynomial(shape, k, rng):
+    """A random combination of every monomial in the degree-k exactness set."""
+    alphas = exact_multi_indices(shape, k)
+    terms = [(c, monomial_field(alpha))
+             for c, alpha in zip(rng.uniform(-1, 1, len(alphas)), alphas)]
+    return (lambda xi: sum(c * f.eval(xi) for c, f in terms),
+            lambda xi: sum(c * f.grad(xi) for c, f in terms))
+
+
+def _row_path_points(shape, basis, rng):
+    """Scattered, collocated, snapped and singular-face points, by kind."""
+    scattered = [random_interior_point(shape, rng, singular_margin=0.05) for _ in range(6)]
+    grid = xi_grid(shape, basis)
+    collocated = list(grid[rng.choice(len(grid), min(6, len(grid)), replace=False)])
+    # cube points 5e-13 from a node on every axis, toward the inside
+    snapped = []
+    for _ in range(6):
+        eta = np.array([ax.nodes[rng.integers(ax.n)] for ax in basis.axes])
+        eta -= 5e-13 * np.where(eta > 0.0, 1.0, -1.0)
+        snapped.append(expand(shape, eta))
+    vertices = np.asarray(SHAPE_SPECS[shape].vertices)
+    singular = [p for p in (0.5 * (u + v) for u in vertices for v in vertices)
+                if singular_distance(shape, p) < SINGULAR_TOL]
+    return {"scattered": scattered, "collocated": collocated, "snapped": snapped,
+            "singular": singular}
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_row_path_against_exact_polynomials(shape):
+    """F = 1 and F = 3, values and gradients, on every branch of the rows."""
+    rng = np.random.default_rng(17)
+    k = 4
+    basis = basis_for_shape(shape, k + 1)
+    polys = [_exact_polynomial(shape, k, rng) for _ in range(3)]
+    fields = tuple(sample_field(shape, basis, value) for value, _ in polys)
+    multi = ElementEvaluator(shape, basis, fields)
+    singles = [ElementEvaluator(shape, basis, f) for f in fields]
+    points = _row_path_points(shape, basis, rng)
+    if dim_of(shape) > 1:
+        assert points["singular"] or not SHAPE_SPECS[shape].duffy_pairs
+    for kind, pts in points.items():
+        for xi in pts:
+            want = [value(xi) for value, _ in polys]
+            res = multi.phys_evaluate(xi)
+            assert res.value.shape == (3,) and res.d1 is None
+            for f, ev in enumerate(singles):
+                one = ev.phys_evaluate(xi)
+                assert isinstance(one.value, float) and one.d1 is None
+                assert abs(one.value - want[f]) <= 1e-10 * max(1.0, abs(want[f])), kind
+                assert abs(res.value[f] - one.value) <= 1e-13 * max(1.0, abs(one.value))
+            if kind == "collocated":
+                assert res.value.tolist() == [ev.phys_evaluate(xi).value for ev in singles]
+            if kind == "singular":
+                with pytest.raises(SingularCollapseError):
+                    multi.phys_evaluate(xi, gradient=True)
+                continue
+            res = multi.phys_evaluate(xi, gradient=True)
+            assert res.value.shape == (3,) and res.d1.shape == (3, dim_of(shape))
+            for f, ev in enumerate(singles):
+                one = ev.phys_evaluate(xi, gradient=True)
+                grad = polys[f][1](xi)
+                scale = max(1.0, np.max(np.abs(grad)))
+                assert one.d1.shape == (dim_of(shape),)
+                assert np.max(np.abs(one.d1 - grad)) <= 1e-8 * scale, kind
+                assert abs(res.value[f] - one.value) <= 1e-13 * max(1.0, abs(one.value))
+                assert np.max(np.abs(res.d1[f] - one.d1)) <= 1e-13 * max(
+                    1.0, np.max(np.abs(one.d1)))
+
+
+def test_snapped_coordinates_reach_the_chain_rule():
+    # A cube coordinate 5e-13 off a node is evaluated on the node, and the
+    # gradient uses the Jacobian there.
+    basis = basis_for_shape(Shape.TRI, 5)
+    ev = ElementEvaluator(Shape.TRI, basis, sample_field(Shape.TRI, basis,
+                                                         benchmark_field(2).eval))
+    eta = np.array([basis.axes[0].nodes[1], basis.axes[1].nodes[3] + 5e-13])
+    xi = expand(Shape.TRI, eta)
+    on_node = expand(Shape.TRI, [basis.axes[0].nodes[1], basis.axes[1].nodes[3]])
+    assert not np.array_equal(collapse(Shape.TRI, xi), collapse(Shape.TRI, on_node))
+    a = ev.phys_evaluate(xi, gradient=True)
+    b = ev.phys_evaluate(on_node, gradient=True)
+    assert a.value == b.value
+    assert np.array_equal(a.d1, b.d1)
+
+
+def test_multi_field_reduction_counts():
+    # A contraction over F fields counts F times the lines of one field.
+    basis = basis_for_shape(Shape.TET, 4)
+    fields = tuple(sample_field(Shape.TET, basis, lambda xi, c=c: c + xi[0])
+                   for c in range(3))
+    xi = [-0.41, -0.33, -0.52]
+    counts = {}
+    counters.enabled = True
+    try:
+        for label, ev in (("one", ElementEvaluator(Shape.TET, basis, fields[0])),
+                          ("three", ElementEvaluator(Shape.TET, basis, fields))):
+            for gradient in (False, True):
+                counters.reset()
+                ev.phys_evaluate(xi, gradient=gradient)
+                counts[label, gradient] = counters.kernel_calls
+    finally:
+        counters.enabled = False
+        counters.reset()
+    assert counts["one", False] == 4 * 4 + 4 + 1
+    assert counts["one", True] == 4 * 4 + 2 * 4 + 3
+    for gradient in (False, True):
+        assert counts["three", gradient] == 3 * counts["one", gradient]
+
+
+def test_multi_field_validation():
+    basis = basis_for_order(Shape.QUAD, 2)
+    from baryeval import FieldValues
+
+    with pytest.raises(InvalidInputError):
+        ElementEvaluator(Shape.QUAD, basis, ())
+    with pytest.raises(InvalidInputError):
+        ElementEvaluator(Shape.QUAD, basis, (FieldValues(np.zeros(basis.size)),
+                                             FieldValues(np.zeros(5))))
+    seg = basis_for_order(Shape.SEGMENT, 2)
+    field = FieldValues(np.zeros(seg.size))
+    with pytest.raises(InvalidInputError):
+        ElementEvaluator(Shape.SEGMENT, seg, (field, field)).phys_evaluate_1d(0.1)

@@ -135,3 +135,35 @@ def test_projection_restores_region(shape):
         assert contains_point(shape, proj, 1e-9)
     inside = centroid(shape)
     assert np.allclose(project_into_region(shape, inside), inside)
+
+
+@pytest.mark.parametrize("shape", [Shape.SEGMENT, Shape.TRI, Shape.TET])
+def test_one_evaluation_per_point_for_all_coordinate_maps(shape, monkeypatch):
+    # Every point locate evaluates costs one phys_evaluate call returning all
+    # d coordinates: one for the start, then per accepted step one per trial
+    # step length and one with the gradient.
+    from baryeval import ElementEvaluator
+
+    d = dim_of(shape)
+    basis = basis_for_order(shape, 4)
+    fields = tuple(
+        sample_field(shape, basis, lambda xi, q=q: float(xi[q] + 0.05 * xi[q] ** 2))
+        for q in range(d)
+    )
+    calls = []
+    evaluate = ElementEvaluator.phys_evaluate
+
+    def counted(self, xi, gradient=False):
+        res = evaluate(self, xi, gradient=gradient)
+        calls.append(np.shape(res.value))
+        return res
+
+    monkeypatch.setattr(ElementEvaluator, "phys_evaluate", counted)
+    target_xi = centroid(shape) + 0.1
+    target = target_xi[:d] + 0.05 * target_xi[:d] ** 2
+    cfg = LocateConfig(keep_history=True)
+    res = locate(LocateProblem(shape, basis, fields, target, cfg))
+    assert res.converged and res.iterations == len(res.history) > 0
+    trials = sum(round(np.log2(1.0 / alpha)) + 1 for _, _, alpha, _ in res.history)
+    assert len(calls) == 1 + trials + res.iterations
+    assert set(calls) == {(d,)}

@@ -252,6 +252,24 @@ def test_batch_helpers_match_scalar(shape):
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_in_tolerance_points_collapse_into_the_cube(shape):
+    # Vertices and edge midpoints (collapsed ones included), moved off by up
+    # to 9e-11 per coordinate; every move the 1e-10 region test admits must
+    # land in [-1, 1]^d, however small the collapse denominator there.
+    vertices = np.asarray(SHAPE_SPECS[shape].vertices)
+    anchors = [0.5 * (u + v) for u in vertices for v in vertices]
+    steps = (-9e-11, -2e-12, 0.0, 2e-12, 9e-11)
+    pts = np.array([a + np.array(step) for a in anchors
+                    for step in product(steps, repeat=dim_of(shape))])
+    pts = pts[contains_batch(shape, pts, 1e-10)]
+    assert len(pts) > len(anchors)
+    etas = collapse_batch(shape, pts)
+    assert np.all(np.abs(etas) <= 1.0)
+    for xi, eta in zip(pts, etas):
+        assert np.array_equal(collapse(shape, xi), eta)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
 def test_vertices_satisfy_halfspaces_and_are_corner_images(shape):
     spec = SHAPE_SPECS[shape]
     images = [expand(shape, c) for c in product((-1.0, 1.0), repeat=spec.dim)]

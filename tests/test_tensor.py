@@ -93,10 +93,16 @@ def test_exactness_on_tensor_polynomials(counts, kinds):
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
 
-@pytest.mark.parametrize("counts", [(5, 6), (4, 3, 4)])
-def test_agreement_with_direct_form(counts):
+@pytest.mark.parametrize("counts,kinds", [
+    ((5, 6), None),
+    ((4, 3, 4), None),
+    ((9,), None),
+    ((7, 5, 6), (NodeKind.GAUSS_RADAU_MINUS, NodeKind.CHEBYSHEV_GAUSS_LOBATTO,
+                 NodeKind.EQUISPACED)),
+], ids=["counts0", "counts1", "counts2", "counts3"])
+def test_agreement_with_direct_form(counts, kinds):
     rng = np.random.default_rng(11)
-    basis = _basis(counts)
+    basis = _basis(counts, kinds)
     for _ in range(50):
         field = FieldValues(rng.uniform(-1, 1, size=int(np.prod(counts))))
         eta = rng.uniform(-0.95, 0.95, size=len(counts))
