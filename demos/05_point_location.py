@@ -1,9 +1,9 @@
 """Point location: inverting a curved coordinate map.
 
 Given coordinate maps X(xi) sampled on an element grid and a target point in
-physical space, recover the reference coordinates with a quasi-Newton search
-(BFGS direction, backtracking line search, iterates projected back into the
-reference region).
+physical space, recover the reference coordinates with a Gauss-Newton search
+(direction -J^{-1} r from the exact Jacobian, backtracking line search, trial
+points projected back into the reference region).
 """
 
 import numpy as np

@@ -36,6 +36,7 @@ from .element import (SNAP_TOL, ElementEvaluator, axis_kinds, basis_for_order, s
                       xi_grid)
 from .errors import InvalidInputError, ReportError
 from .fields import benchmark_field, random_interior_point
+from .kernel import TAYLOR_TOL
 from .nodes import MAX_NODES, make_node_set
 from .shapes import Shape, _chain_rule, _collapse, _factors, dim_of, shape_from_name, spec_for
 from .tensor import TensorBasis
@@ -250,20 +251,24 @@ class _BarySweep:
                 t1 = [wj / xj for wj, xj in zip(w, x)]
                 a = sum(map(_mul, t1, data))
                 f = sum(t1)
-                values.append(a / f)
-                if deriv:
+                value = a / f
+                values.append(value)
+                if q == Q_VALUE_D1:
                     t2 = [t / xj for t, xj in zip(t1, x)]
                     b = sum(map(_mul, t2, data))
                     c = sum(t2)
-                    ff = f * f
-                    grads.append(((b * f - a * c) / ff,))
-                    if q == Q_VALUE_D1_D2:
-                        t3 = [t / xj for t, xj in zip(t2, x)]
-                        d = sum(map(_mul, t3, data))
-                        e = sum(t3)
-                        ac = a * c
-                        d2s.append((2 * d) / f - (2 * e * a) / ff
-                                   - (2 * b * c) / ff + (2 * c * ac) / (ff * f))
+                    grads.append(((b * f - a * c) / (f * f),))
+                elif q == Q_VALUE_D1_D2:  # the divided-difference form of kernel._kernel
+                    if nearest < TAYLOR_TOL:
+                        k = dist.index(nearest)
+                        d2 = sum(map(_mul, el.d2rows[k], data))
+                        grads.append((sum(map(_mul, el.d1rows[0][k], data)) - x[k] * d2,))
+                    else:
+                        dd1 = [(vj - value) / xj for vj, xj in zip(data, x)]
+                        d1 = sum(map(_mul, t1, dd1)) / f
+                        grads.append((d1,))
+                        d2 = 2.0 * sum(t * (e - d1) / xj for t, e, xj in zip(t1, dd1, x)) / f
+                    d2s.append(d2)
         elif el.dim == 2:
             for xi in self.pts:
                 eta = _collapse(el.spec, xi)

@@ -1,17 +1,20 @@
 """Univariate barycentric evaluation kernel.
 
 Evaluates a polynomial given by its samples on a node set, together with its
-first and second derivatives, in one O(n) pass.  The accumulators follow the
-convention x_j = z_j - eta, under which
+first and second derivatives, in one O(n) pass.  With x_j = z_j - eta,
+t_j = w_j / x_j and F = sum_j t_j, the derivatives are barycentric sums of
+divided differences (Schneider & Werner, Math. Comp. 1986):
 
-    value = A / F
-    p'    = (B*F - A*C) / F^2
-    p''   = 2*D/F - 2*E*A/F^2 - 2*B*C/F^2 + 2*C*(A*C)/F^3
+    value = sum_j t_j v_j / F
+    p'    = sum_j t_j p[z_j, eta] / F,            p[z_j, eta] = (v_j - value) / x_j
+    p''   = 2 sum_j t_j p[z_j, eta, eta] / F,     p[z_j, eta, eta] = (p[z_j, eta] - p') / x_j
 
-with A, F the weighted sums of v_j*w_j/x_j and w_j/x_j, B, C the analogous
-1/x^2 sums and D, E the 1/x^3 sums.  A query collocated with node j skips the
-sums entirely and returns the stored sample, with derivatives taken from the
-precomputed differentiation-matrix rows.
+Each difference is formed before it is weighted, so no large power sums
+cancel; the error still grows like eps / |eta - z_k| next to node k.  Within
+TAYLOR_TOL of node k the derivatives come instead from the stored
+differentiation-matrix rows, p' = D[k] v + delta D2[k] v and p'' = D2[k] v
+with delta = eta - z_k.  A query collocated with node j skips the sums
+entirely and returns the stored sample, with derivatives from the rows.
 
 This is the 1D path with second derivatives (`bary_evaluate`, `s_sum`,
 `ElementEvaluator.phys_evaluate_1d`); values and gradients on every shape go
@@ -31,6 +34,11 @@ from .errors import CollocationError, InvalidInputError
 # Points closer to a node than this are treated as collocated.  Exact-zero
 # tests are fragile after coordinate-collapse arithmetic.
 _EPS = np.finfo(float).eps
+
+
+# Below this distance to a node the divided differences lose more digits than
+# the first-order Taylor expansion from the differentiation rows.
+TAYLOR_TOL = 1e-8
 
 
 def collocation_tolerance(node):
@@ -129,22 +137,22 @@ def _kernel(nodeset, values, eta, deriv):
 
     x = z - eta
     t1 = nodeset.weights / x
-    a = float(t1 @ values)
     f = float(t1.sum())
-    value = a / f
+    value = float(t1 @ values) / f
     d1 = d2 = 0.0
+    divisions = n + 1
     if deriv >= 1:
-        t2 = t1 / x
-        b = float(t2 @ values)
-        c = float(t2.sum())
-        ff = f * f
-        ac = a * c
-        d1 = (b * f - ac) / ff
-        if deriv >= 2:
-            t3 = t2 / x
-            d = float(t3 @ values)
-            e = float(t3.sum())
-            d2 = (2 * d) / f - (2 * e * a) / ff - (2 * b * c) / ff + (2 * c * ac) / (ff * f)
+        k = int(np.argmin(np.abs(x)))
+        if abs(x[k]) < TAYLOR_TOL:
+            d2 = float(nodeset.d2[k] @ values)
+            d1 = float(nodeset.d1[k] @ values - x[k] * d2)
+        else:
+            dd1 = (values - value) / x
+            d1 = float(t1 @ dd1) / f
+            divisions *= 2
+            if deriv >= 2:
+                d2 = 2.0 * float(t1 @ ((dd1 - d1) / x)) / f
+                divisions += n + 1
     if counters.enabled:
-        counters.divisions += n * (deriv + 1) + (1, 2, 6)[deriv]
+        counters.divisions += divisions
     return value, d1, d2

@@ -3,10 +3,14 @@ image matches a target point.
 
 Minimizes f(xi) = 0.5 * ||X(xi) - target||^2 where the coordinate maps X_i are
 fields sampled on the element grid and evaluated barycentrically, all d of
-them by one evaluator in one contraction per point.  The search uses a BFGS
-inverse-Hessian approximation with Armijo backtracking from a unit step;
-iterates leaving the reference region are projected back onto the violated
-constraints.
+them by one evaluator in one contraction per point.  The problem is square
+(d maps, d unknowns) and every evaluation returns the exact Jacobian
+J = dX/dxi, so the search takes the Gauss-Newton direction -J^{-1} r, falling
+back to steepest descent -J^T r where J is singular or the direction does not
+descend.  Step lengths backtrack from a unit step under the Armijo rule;
+trial points leaving the reference region are projected back onto the
+violated constraints.  Each trial point is evaluated once, value and
+Jacobian together, and the accepted one becomes the next iterate.
 """
 
 from __future__ import annotations
@@ -88,23 +92,15 @@ def project_into_region(shape, xi, max_passes=60):
 
 
 def locate(problem):
-    """Run the quasi-Newton search; see module docstring."""
+    """Run the projected Gauss-Newton search; see module docstring."""
     shape = problem.shape
     cfg = problem.config
     target = np.asarray(problem.target, dtype=float)
-    d = len(problem.coord_fields)
     coords = ElementEvaluator(shape, problem.basis, tuple(problem.coord_fields))
     scale = max(1.0, float(np.linalg.norm(target)))
     mid = centroid(shape)
 
-    def coords_at(xi):
-        return coords.phys_evaluate(xi).value
-
-    def f_of(xi):
-        r = coords_at(xi) - target
-        return 0.5 * float(r @ r)
-
-    def grad_and_f(xi):
+    def evaluate(xi):
         for attempt in range(2):
             try:
                 res = coords.phys_evaluate(xi, gradient=True)
@@ -113,51 +109,42 @@ def locate(problem):
                 if attempt:
                     raise
                 xi = xi + 1e-9 * (mid - xi)  # step off the singular face
-        jac_x = res.d1  # rows are grad X_i
         r = res.value - target
-        return 0.5 * float(r @ r), jac_x.T @ r, float(np.linalg.norm(r)), xi
+        return 0.5 * float(r @ r), res.d1, r, xi  # res.d1 rows are grad X_i
 
     xi = np.array(cfg.init if cfg.init is not None else mid, dtype=float)
-    xi = project_into_region(shape, xi)
-    fval, grad, residual, xi = grad_and_f(xi)
-    hinv = np.eye(d)
+    fval, jac, r, xi = evaluate(project_into_region(shape, xi))
     history = []
     iterations = 0
 
     for _ in range(cfg.max_iters):
+        grad = jac.T @ r
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= cfg.grad_tol * scale or fval == 0.0:
             break
         iterations += 1
-        direction = -hinv @ grad
-        slope = float(grad @ direction)
-        if slope >= 0.0:  # stale curvature; fall back to steepest descent
+        try:
+            direction = -np.linalg.solve(jac, r)
+            slope = float(grad @ direction)
+        except np.linalg.LinAlgError:
+            slope = 0.0
+        if not slope < 0.0:  # singular J or no descent: steepest descent
             direction = -grad
             slope = -gnorm * gnorm
         alpha = 1.0
-        trial, f_trial = xi, fval
         while alpha > 1e-14:
-            trial = project_into_region(shape, xi + alpha * direction)
-            f_trial = f_of(trial)
-            if f_trial <= fval + cfg.armijo_c * alpha * slope:
+            trial = evaluate(project_into_region(shape, xi + alpha * direction))
+            if trial[0] <= fval + cfg.armijo_c * alpha * slope:
                 break
             alpha *= cfg.backtrack_factor
         else:
             break  # no acceptable step remains
         if cfg.keep_history:
-            history.append((fval, f_trial, alpha, slope))
-        step = trial - xi
-        f_new, grad_new, residual, trial = grad_and_f(trial)
-        y = grad_new - grad
-        ys = float(y @ step)
-        if ys > 1e-12 * np.linalg.norm(y) * np.linalg.norm(step):
-            rho = 1.0 / ys
-            outer = np.outer(step, y)
-            hinv = (np.eye(d) - rho * outer) @ hinv @ (np.eye(d) - rho * outer.T)
-            hinv += rho * np.outer(step, step)
-        xi, fval, grad = trial, f_new, grad_new
+            history.append((fval, trial[0], alpha, slope))
+        fval, jac, r, xi = trial
 
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = float(np.linalg.norm(jac.T @ r))
+    residual = float(np.linalg.norm(r))
     converged = (
         gnorm <= cfg.grad_tol * scale
         and residual <= np.sqrt(2.0 * cfg.grad_tol * scale)

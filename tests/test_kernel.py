@@ -14,7 +14,7 @@ from baryeval import (
     s_sum,
 )
 from baryeval.fields import horner_derivative_coeffs, horner_eval
-from baryeval.kernel import counters
+from baryeval.kernel import TAYLOR_TOL, counters
 
 ALL_KINDS = list(NodeKind)
 
@@ -151,6 +151,38 @@ def test_nodes_reproduce_stored_values_exactly(kind, n):
         assert res.value == vals[j]  # bit-for-bit
         assert res.d1[0] == pytest.approx(float(ns.d1[j] @ vals), abs=1e-14)
         assert res.d2 == pytest.approx(float(ns.d2[j] @ vals), abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [5, 12, 21])
+def test_derivatives_next_to_a_node(kind, n):
+    # offsets from 1e-15 to 1e-3 on both sides of every node, across the
+    # switch to the Taylor branch at TAYLOR_TOL
+    rng = np.random.default_rng(7 * n)
+    ns = make_node_set(kind, n)
+    coeffs = rng.uniform(-1, 1, size=n)
+    d1c = horner_derivative_coeffs(coeffs)
+    d2c = horner_derivative_coeffs(d1c)
+    vals = [horner_eval(coeffs, z) for z in ns.nodes]
+    offsets = [s * 10.0**-e for e in range(3, 16) for s in (1.0, -1.0)]
+    offsets += [s * TAYLOR_TOL * f for f in (0.999, 1.001) for s in (1.0, -1.0)]
+    for z in ns.nodes:
+        for off in offsets:
+            eta = z + off
+            if abs(eta) > 1.0:
+                continue
+            res = bary_evaluate(ns, vals, eta, deriv=2)
+            want1 = horner_eval(d1c, eta)
+            want2 = horner_eval(d2c, eta)
+            assert abs(res.d1[0] - want1) <= 1e-5 * max(1.0, abs(want1)), (z, off)
+            assert abs(res.d2 - want2) <= 1e-5 * max(1.0, abs(want2)), (z, off)
+        for s in (1.0, -1.0):
+            if abs(z + s * TAYLOR_TOL) > 1.0:
+                continue
+            below, above = (bary_evaluate(ns, vals, z + s * TAYLOR_TOL * f, deriv=2)
+                            for f in (0.999, 1.001))
+            assert abs(below.d1[0] - above.d1[0]) <= 1e-6 * max(1.0, abs(above.d1[0]))
+            assert abs(below.d2 - above.d2) <= 1e-5 * max(1.0, abs(above.d2))
 
 
 def test_division_count_is_linear():

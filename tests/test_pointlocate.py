@@ -13,7 +13,7 @@ from baryeval import (
 )
 from baryeval.fields import random_interior_point
 from baryeval.pointlocate import project_into_region
-from baryeval.shapes import centroid, contains_point, dim_of
+from baryeval.shapes import centroid, contains_point, dim_of, spec_for
 
 
 def _identity_fields(shape, basis):
@@ -140,8 +140,8 @@ def test_projection_restores_region(shape):
 @pytest.mark.parametrize("shape", [Shape.SEGMENT, Shape.TRI, Shape.TET])
 def test_one_evaluation_per_point_for_all_coordinate_maps(shape, monkeypatch):
     # Every point locate evaluates costs one phys_evaluate call returning all
-    # d coordinates: one for the start, then per accepted step one per trial
-    # step length and one with the gradient.
+    # d coordinates and their gradients: one for the start, then per accepted
+    # step one per trial step length; the accepted trial is not evaluated again.
     from baryeval import ElementEvaluator
 
     d = dim_of(shape)
@@ -151,11 +151,13 @@ def test_one_evaluation_per_point_for_all_coordinate_maps(shape, monkeypatch):
         for q in range(d)
     )
     calls = []
+    gradients = []
     evaluate = ElementEvaluator.phys_evaluate
 
     def counted(self, xi, gradient=False):
         res = evaluate(self, xi, gradient=gradient)
         calls.append(np.shape(res.value))
+        gradients.append(gradient)
         return res
 
     monkeypatch.setattr(ElementEvaluator, "phys_evaluate", counted)
@@ -165,5 +167,52 @@ def test_one_evaluation_per_point_for_all_coordinate_maps(shape, monkeypatch):
     res = locate(LocateProblem(shape, basis, fields, target, cfg))
     assert res.converged and res.iterations == len(res.history) > 0
     trials = sum(round(np.log2(1.0 / alpha)) + 1 for _, _, alpha, _ in res.history)
-    assert len(calls) == 1 + trials + res.iterations
+    assert len(calls) == 1 + trials
     assert set(calls) == {(d,)}
+    assert all(g is True for g in gradients)
+
+
+def _quadratic_map(d, rng, amplitude):
+    # X_i = xi_i + sum_{j<=l} c[i, jl] xi_j xi_l with sum_jl |c[i, jl]| =
+    # amplitude: on the reference regions |X - xi| <= amplitude, and for
+    # amplitude < 0.5 the map is injective with a nonsingular Jacobian.
+    pairs = [(j, l) for j in range(d) for l in range(j, d)]
+    c = rng.uniform(-1.0, 1.0, size=(d, len(pairs)))
+    c *= amplitude / np.abs(c).sum(axis=1, keepdims=True)
+
+    def x_of(xi):
+        xi = np.asarray(xi, dtype=float)
+        return xi + c @ np.array([xi[j] * xi[l] for j, l in pairs])
+    return x_of
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_locate_recovers_every_target_of_quadratic_maps(shape):
+    from baryeval.bench import sampling_points
+
+    d = dim_of(shape)
+    rng = np.random.default_rng(list(Shape).index(shape))
+    basis = basis_for_order(shape, 6)
+    mid = centroid(shape)
+    for amplitude in (0.1, 0.3, 0.45):
+        x_of = _quadratic_map(d, rng, amplitude)
+        fields = tuple(
+            sample_field(shape, basis, lambda xi, i=i: float(x_of(xi)[i])) for i in range(d)
+        )
+        cases = [(xi, None) for xi in sampling_points(shape)]
+        cases += [(random_interior_point(shape, rng), None) for _ in range(10)]
+        for v in np.asarray(spec_for(shape).vertices, dtype=float):
+            cases += [(v, mid), (v, v)]
+        for target_xi, init in cases:
+            cfg = LocateConfig(init=init)
+            res = locate(LocateProblem(shape, basis, fields, x_of(target_xi), cfg))
+            assert res.converged, (amplitude, target_xi, init)
+            assert res.iterations <= 10, (amplitude, target_xi, init)
+            assert np.max(np.abs(res.xi - target_xi)) <= 1e-7, (amplitude, target_xi, init)
+
+        direction = rng.normal(size=d)
+        outside = x_of(mid) + 10.0 * direction / np.linalg.norm(direction)
+        cfg = LocateConfig(max_iters=20)
+        res = locate(LocateProblem(shape, basis, fields, outside, cfg))
+        assert not res.converged
+        assert contains_point(shape, res.xi, 1e-9)
