@@ -258,7 +258,7 @@ class _BarySweep:
                     b = sum(map(_mul, t2, data))
                     c = sum(t2)
                     grads.append(((b * f - a * c) / (f * f),))
-                elif q == Q_VALUE_D1_D2:  # the divided-difference form of kernel._kernel
+                elif q == Q_VALUE_D1_D2:  # divided differences, a Taylor branch next to a node
                     if nearest < TAYLOR_TOL:
                         k = dist.index(nearest)
                         d2 = sum(map(_mul, el.d2rows[k], data))

@@ -3,14 +3,16 @@
 An ElementEvaluator owns a shape, a tensor basis and one field, or several
 fields, sampled on the shape's grid.  Evaluation collapses the query point to
 cube coordinates, contracts the samples of every field with one set of
-per-axis cardinal rows there (`tensor._contract`), and maps gradients back
-with the collapse Jacobian:
+per-axis cardinal rows there (`kernel._axis_rows`, reduced by
+`tensor._contract`), and maps gradients back with the collapse Jacobian:
 
     grad_xi p = J^T grad_eta p,    J[i, j] = d(eta_i)/d(xi_j).
 
-Cube coordinates within SNAP_TOL of a basis node are snapped onto it while
-the rows are built, so such points take the collocated branch and the chain
-rule sees the snapped coordinates.  Several fields on one basis cost one
+Cube coordinates within SNAP_TOL (1e-12, the package's one collocation
+tolerance) of a basis node are snapped onto it while the rows are built, so
+such points take the collocated branch and the chain rule sees the snapped
+coordinates.  Segment second derivatives (`phys_evaluate_1d`) come from the
+same rows through `bary_evaluate`.  Several fields on one basis cost one
 contraction per point; `pointlocate` evaluates all d coordinate maps so.
 
 Axes that appear as the `along` dimension of a collapse pair use Radau points
@@ -24,18 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError, OutOfRegionError
-from .kernel import EvalResult, _kernel
+from .kernel import SNAP_TOL, EvalResult, bary_evaluate  # noqa: F401 (re-exported)
 from .nodes import NodeKind, make_node_set
 from .shapes import Shape, _chain_rule, collapse, contains_point, dim_of, expand_batch, spec_for
 from .tensor import FieldValues, TensorBasis, _contract, eta_grid
 
 REGION_TOL = 1e-10
-
-# Collapse arithmetic perturbs grid-point preimages by a few ulps (amplified
-# near collapsed vertices); snapping onto a basis node within this distance
-# restores the exact collocation branch.  The value perturbation for genuinely
-# distinct points is below 1e-12 times the field derivative.
-SNAP_TOL = 1e-12
 
 
 def axis_kinds(shape):
@@ -124,7 +120,7 @@ class ElementEvaluator:
         collapse branch; gradient queries there raise SingularCollapseError.
         """
         eta = collapse(self.shape, xi, REGION_TOL).tolist()
-        parts, eta = _contract(self.basis, self._data, eta, gradient, SNAP_TOL)
+        parts, eta = _contract(self.basis, self._data, eta, gradient)
         grads = None
         if gradient:
             grads = np.array([_chain_rule(self._spec, eta, g) for g in parts[1:].T.tolist()])
@@ -141,9 +137,4 @@ class ElementEvaluator:
         xi = float(np.atleast_1d(np.asarray(xi, dtype=float))[0])
         if not contains_point(self.shape, [xi], REGION_TOL):
             raise OutOfRegionError(f"{xi} lies outside [-1, 1]")
-        value, d1, d2 = _kernel(self.basis.axes[0], self.field.data, xi, deriv)
-        return EvalResult(
-            value,
-            np.array([d1]) if deriv >= 1 else None,
-            d2 if deriv >= 2 else None,
-        )
+        return bary_evaluate(self.basis.axes[0], self.field.data, xi, deriv)

@@ -1,25 +1,21 @@
-"""Univariate barycentric evaluation kernel.
+"""Univariate barycentric evaluation: the cardinal rows of one axis.
 
-Evaluates a polynomial given by its samples on a node set, together with its
-first and second derivatives, in one O(n) pass.  With x_j = z_j - eta,
-t_j = w_j / x_j and F = sum_j t_j, the derivatives are barycentric sums of
-divided differences (Schneider & Werner, Math. Comp. 1986):
+Every value and derivative in the package comes from `_axis_rows`, which
+builds the cardinal rows l, l' and l'' of a node set at a coordinate in
+O(n).  With x_j = z_j - eta, l = (w / x) / sum(w / x) and u = 1/x - sum(l / x),
 
-    value = sum_j t_j v_j / F
-    p'    = sum_j t_j p[z_j, eta] / F,            p[z_j, eta] = (v_j - value) / x_j
-    p''   = 2 sum_j t_j p[z_j, eta, eta] / F,     p[z_j, eta, eta] = (p[z_j, eta] - p') / x_j
+    l'  = l u,     l'' = 2 l (u / x - sum(l u^2)).
 
-Each difference is formed before it is weighted, so no large power sums
-cancel; the error still grows like eps / |eta - z_k| next to node k.  Within
-TAYLOR_TOL of node k the derivatives come instead from the stored
-differentiation-matrix rows, p' = D[k] v + delta D2[k] v and p'' = D2[k] v
-with delta = eta - z_k.  A query collocated with node j skips the sums
-entirely and returns the stored sample, with derivatives from the rows.
+Entry k of l'' (k the nearest node) is replaced by minus the sum of the
+others, since the rows of a partition of unity sum to zero; computed
+directly it loses digits like eps / |eta - z_k|^2.  Within TAYLOR_TOL of
+node k the derivative rows come instead from the stored
+differentiation-matrix rows, l' = D[k] + delta D2[k] and l'' = D2[k] with
+delta = eta - z_k.  A query within SNAP_TOL of node k is collocated: the
+rows are the unit row e_k, D[k] and D2[k].
 
-This is the 1D path with second derivatives (`bary_evaluate`, `s_sum`,
-`ElementEvaluator.phys_evaluate_1d`); values and gradients on every shape go
-through the cardinal rows of `tensor._contract`.  On both paths `counters`
-counts one reduction per line reduced.
+`tensor._contract` reduces the samples of any shape with these rows axis by
+axis; `bary_evaluate` applies them to one line of samples.
 """
 
 from __future__ import annotations
@@ -31,23 +27,28 @@ import numpy as np
 
 from .errors import CollocationError, InvalidInputError
 
-# Points closer to a node than this are treated as collocated.  Exact-zero
-# tests are fragile after coordinate-collapse arithmetic.
-_EPS = np.finfo(float).eps
+# Cube coordinates within this distance of a node are collocated with it and
+# snapped onto it.  Collapse arithmetic perturbs grid-point preimages by a few
+# ulps (amplified near collapsed vertices); snapping restores the exact
+# collocation branch.  The value perturbation for genuinely distinct points is
+# below 1e-12 times the field derivative.
+SNAP_TOL = 1e-12
 
-
-# Below this distance to a node the divided differences lose more digits than
-# the first-order Taylor expansion from the differentiation rows.
+# Below this distance to a node the derivative rows lose more digits than the
+# first-order Taylor expansion from the differentiation rows.
 TAYLOR_TOL = 1e-8
-
-
-def collocation_tolerance(node):
-    return 4.0 * _EPS * max(1.0, abs(node))
 
 
 @dataclass
 class OpCounters:
-    """Instrumentation for the cost properties of the kernel."""
+    """Instrumentation for the cost properties of the kernel.
+
+    One kernel call (a reduction) is one line of samples reduced by the rows
+    of one axis, however many rows there are; `per_call_nodes` records the
+    line length.  One division is one floating-point division while the rows
+    are built: n + 1 for l, n + 1 more for l' off the Taylor branch and n
+    more for l''.  Collocated rows cost none.
+    """
 
     enabled: bool = False
     kernel_calls: int = 0
@@ -84,7 +85,7 @@ def _collocated_index(nodes, eta):
     if not math.isfinite(eta):
         raise InvalidInputError(f"query coordinate {eta} is not finite")
     j = int(np.argmin(np.abs(nodes - eta)))
-    if abs(nodes[j] - eta) <= collocation_tolerance(nodes[j]):
+    if abs(nodes[j] - eta) <= SNAP_TOL:
         return j
     return -1
 
@@ -103,56 +104,72 @@ def s_sum(r, values, nodeset, eta):
     return float(np.sum(v * nodeset.weights / x**r))
 
 
+def _axis_rows(ax, e, deriv):
+    """Cardinal rows of one axis at coordinate e, and e snapped onto a node.
+
+    Returns l, [l; l'] or [l; l'; l''] for deriv = 0, 1 or 2 as a
+    (deriv + 1, n) array; see the module docstring for the formulas and the
+    collocated and Taylor branches.  A collocated e becomes the node.
+    """
+    if not math.isfinite(e):
+        raise InvalidInputError(f"query coordinate {e} is not finite")
+    x = ax.nodes - e
+    k = int(np.abs(x).argmin())
+    near = abs(x.item(k))
+    rows = np.zeros((deriv + 1, ax.n))
+    if near <= SNAP_TOL:
+        rows[0, k] = 1.0
+        if deriv:
+            rows[1] = ax.d1[k]
+        if deriv > 1:
+            rows[2] = ax.d2[k]
+        return rows, float(ax.nodes[k])
+    lv = rows[0]
+    np.divide(ax.weights, x, out=lv)
+    if not deriv or near < TAYLOR_TOL:
+        lv *= 1.0 / np.add.reduce(lv)
+        if deriv:
+            rows[1:] = (ax.d1[k] - x[k] * ax.d2[k], ax.d2[k])[:deriv]
+        if counters.enabled:
+            counters.divisions += ax.n + 1
+        return rows, e
+    # l' = l u = (t / x - t s) / f with t = w / x, f = sum t, s = sum(t / x) / f
+    l1 = rows[1]
+    np.divide(lv, x, out=l1)
+    f, c, *_ = np.add.reduce(rows, axis=1).tolist()  # an l'' row is still zero
+    s = c / f
+    l1 -= lv * s
+    rows *= 1.0 / f
+    if deriv > 1:
+        r = 1.0 / x
+        u = r - s
+        l2 = rows[2]
+        np.multiply(lv, u * r - l1 @ u, out=l2)
+        l2 *= 2.0
+        l2[k] = 0.0
+        l2[k] = -l2.sum()
+    if counters.enabled:
+        counters.divisions += (3 if deriv > 1 else 2) * ax.n + 2
+    return rows, e
+
+
 def bary_evaluate(nodeset, values, eta, deriv=0):
     """Evaluate the interpolant of `values` at eta, with derivatives up to `deriv`.
 
     deriv = 0 returns the value only, 1 adds the first derivative, 2 adds the
-    second.  All requested quantities come from a single pass over the nodes.
+    second.  All requested quantities come from one set of cardinal rows.
     """
+    if deriv not in (0, 1, 2):
+        raise InvalidInputError(f"derivative order must be 0, 1 or 2, got {deriv}")
     v = np.asarray(values, dtype=float)
     if len(v) != nodeset.n:
         raise InvalidInputError(f"expected {nodeset.n} values, got {len(v)}")
-    value, d1, d2 = _kernel(nodeset, v, eta, deriv)
-    return EvalResult(
-        value=value,
-        d1=None if deriv < 1 else np.array([d1]),
-        d2=None if deriv < 2 else d2,
-    )
-
-
-def _kernel(nodeset, values, eta, deriv):
-    """One pass over the nodes; returns plain floats."""
-    z = nodeset.nodes
-    n = len(z)
+    rows, _ = _axis_rows(nodeset, eta, deriv)
     if counters.enabled:
         counters.kernel_calls += 1
-        counters.per_call_nodes.append(n)
-
-    j = _collocated_index(z, eta)
-    if j >= 0:
-        value = float(values[j])
-        d1 = float(nodeset.d1[j] @ values) if deriv >= 1 else 0.0
-        d2 = float(nodeset.d2[j] @ values) if deriv >= 2 else 0.0
-        return value, d1, d2
-
-    x = z - eta
-    t1 = nodeset.weights / x
-    f = float(t1.sum())
-    value = float(t1 @ values) / f
-    d1 = d2 = 0.0
-    divisions = n + 1
-    if deriv >= 1:
-        k = int(np.argmin(np.abs(x)))
-        if abs(x[k]) < TAYLOR_TOL:
-            d2 = float(nodeset.d2[k] @ values)
-            d1 = float(nodeset.d1[k] @ values - x[k] * d2)
-        else:
-            dd1 = (values - value) / x
-            d1 = float(t1 @ dd1) / f
-            divisions *= 2
-            if deriv >= 2:
-                d2 = 2.0 * float(t1 @ ((dd1 - d1) / x)) / f
-                divisions += n + 1
-    if counters.enabled:
-        counters.divisions += divisions
-    return value, d1, d2
+        counters.per_call_nodes.append(nodeset.n)
+    # One dot per row, so that a collocated query returns D[j] @ v and
+    # D2[j] @ v to the bit; a stacked product may differ in the last ulp.
+    p = [float(row @ v) for row in rows]
+    return EvalResult(p[0], np.array(p[1:2]) if deriv else None,
+                      p[2] if deriv > 1 else None)

@@ -2,18 +2,19 @@
 contraction, plus the direct multivariate barycentric form used as a slow oracle.
 
 Field samples are stored flat with the dimension-1 index running fastest: the
-line for fixed (j2, j3) starts at offset (j3*n2 + j2)*n1.
+line for fixed (j2, j3) starts at offset (j3*n2 + j2)*n1.  The contraction
+reduces them with the per-axis cardinal rows of `kernel._axis_rows`, the one
+univariate formula of the package.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CollocationError, InvalidInputError
-from .kernel import EvalResult, _collocated_index, collocation_tolerance, counters
+from .kernel import EvalResult, _axis_rows, _collocated_index, counters
 
 
 @dataclass(frozen=True)
@@ -75,43 +76,7 @@ def _check_field(basis, fieldvalues):
         )
 
 
-def _axis_rows(ax, e, gradient, tol):
-    """Cardinal rows of one axis at coordinate e, and e snapped onto a node.
-
-    Returns l, or [l; l'] with gradients, as a (1, n) or (2, n) array.  Within
-    tol of node j the rows are e_j and the differentiation-matrix row d1[j],
-    and e becomes z_j.  Otherwise, with x = z - e and t1 = w / x,
-
-        l = t1 / f,   l' = (t1 / x - l c) / f,   f = sum t1,   c = sum t1 / x.
-    """
-    if not math.isfinite(e):
-        raise InvalidInputError(f"query coordinate {e} is not finite")
-    z = ax.nodes
-    x = z - e
-    j = int(np.abs(x).argmin())
-    if abs(x[j]) <= tol:
-        rows = np.zeros((2 if gradient else 1, ax.n))
-        rows[0, j] = 1.0
-        if gradient:
-            rows[1] = ax.d1[j]
-        return rows, float(z[j])
-    rows = np.empty((2 if gradient else 1, ax.n))
-    t1 = rows[0]
-    np.divide(ax.weights, x, out=t1)
-    if gradient:
-        t2 = rows[1]
-        np.divide(t1, x, out=t2)
-        f, c = np.add.reduce(rows, axis=1).tolist()
-        t2 -= t1 * (c / f)
-    else:
-        f = np.add.reduce(t1)
-    rows /= f
-    if counters.enabled:
-        counters.divisions += 4 * ax.n + 1 if gradient else 2 * ax.n
-    return rows, e
-
-
-def _contract(basis, data, eta, gradient, tol):
+def _contract(basis, data, eta, gradient):
     """Values, and with `gradient` cube-space gradients, of F fields at eta.
 
     data is (F, N), one field per row in field ordering.  The contraction
@@ -119,13 +84,13 @@ def _contract(basis, data, eta, gradient, tol):
     (value, d/deta_1, ..., d/deta_{q-1} of every field, stacked in that
     order): every part is reduced with l, and the value part alone also with
     l', which appends d/deta_q.  Returns the (P, F) parts (P = 1, or 1 + d
-    with gradients) and eta as a list with the coordinates within tol of a
-    node snapped onto it.
+    with gradients) and eta as a list with the coordinates within SNAP_TOL of
+    a node snapped onto it.
     """
     parts = data.ravel()
     eta = list(eta)
     for q, ax in enumerate(basis.axes):
-        rows, eta[q] = _axis_rows(ax, eta[q], gradient, tol)
+        rows, eta[q] = _axis_rows(ax, eta[q], int(gradient))
         lines = parts.reshape(-1, ax.n)
         if counters.enabled:
             counters.kernel_calls += len(lines)
@@ -140,21 +105,17 @@ def _contract(basis, data, eta, gradient, tol):
 def tensor_evaluate(basis, fieldvalues, eta, gradient=False):
     """Evaluate the tensor interpolant (and its gradient) at one point.
 
-    Per axis q the cardinal rows l (value) and l' (derivative) are built in
-    O(n_q) from the barycentric weights, and the samples are contracted with
-    them dimension 1 first; coordinates within `collocation_tolerance` of a
-    node use the unit row and the differentiation-matrix row instead.  One
-    kernel reduction is one line-row product: with gradients this takes
-    n2 + 2 reductions in 2D and n2*n3 + 2*n3 + 3 in 3D (value only: n2 + 1
-    and n2*n3 + n3 + 1).
+    Per axis q the cardinal rows l (value) and l' (derivative) come from
+    `kernel._axis_rows` in O(n_q), and the samples are contracted with them
+    dimension 1 first.  One kernel reduction is one line-row product: with
+    gradients this takes n2 + 2 reductions in 2D and n2*n3 + 2*n3 + 3 in 3D
+    (value only: n2 + 1 and n2*n3 + n3 + 1).
     """
     _check_field(basis, fieldvalues)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if len(eta) != basis.dim:
         raise InvalidInputError(f"point has dim {len(eta)}, basis dim {basis.dim}")
-    # Nodes lie in [-1, 1], where the tolerance is the same for every node.
-    parts, _ = _contract(basis, fieldvalues.data[None], eta, gradient,
-                         collocation_tolerance(1.0))
+    parts, _ = _contract(basis, fieldvalues.data[None], eta, gradient)
     value = float(parts[0, 0])
     return EvalResult(value, parts[1:, 0]) if gradient else EvalResult(value)
 

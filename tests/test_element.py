@@ -228,7 +228,7 @@ def _exact_polynomial(shape, k, rng):
 
 
 def _row_path_points(shape, basis, rng):
-    """Scattered, collocated, snapped and singular-face points, by kind."""
+    """Scattered, collocated, snapped, singular-face and near-node points, by kind."""
     scattered = [random_interior_point(shape, rng, singular_margin=0.05) for _ in range(6)]
     grid = xi_grid(shape, basis)
     collocated = list(grid[rng.choice(len(grid), min(6, len(grid)), replace=False)])
@@ -241,8 +241,16 @@ def _row_path_points(shape, basis, rng):
     vertices = np.asarray(SHAPE_SPECS[shape].vertices)
     singular = [p for p in (0.5 * (u + v) for u in vertices for v in vertices)
                 if singular_distance(shape, p) < SINGULAR_TOL]
+    # cube points 1e-11 to 1e-9 from an interior node on one axis, on both
+    # sides, where the derivative rows take the Taylor branch
+    near_node = []
+    for q, ax in enumerate(basis.axes):
+        for off in (1e-11, -1e-11, 1e-10, -1e-10, 1e-9, -1e-9):
+            eta = rng.uniform(-0.8, 0.8, size=basis.dim)
+            eta[q] = ax.nodes[rng.integers(1, ax.n - 1)] + off
+            near_node.append(expand(shape, eta))
     return {"scattered": scattered, "collocated": collocated, "snapped": snapped,
-            "singular": singular}
+            "singular": singular, "near_node": near_node}
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)

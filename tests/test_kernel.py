@@ -5,13 +5,18 @@ from hypothesis import strategies as st
 
 from baryeval import (
     CollocationError,
+    ElementEvaluator,
+    FieldValues,
     InvalidInputError,
     NodeKind,
     NodeSet,
+    Shape,
+    TensorBasis,
     bary_evaluate,
     diff_matrix,
     make_node_set,
     s_sum,
+    tensor_evaluate,
 )
 from baryeval.fields import horner_derivative_coeffs, horner_eval
 from baryeval.kernel import TAYLOR_TOL, counters
@@ -76,6 +81,8 @@ def test_derivative_request_levels(ns3):
     assert res.d1 is None and res.d2 is None
     res = bary_evaluate(ns3, [1.0, 0.0, 1.0], 0.5, deriv=1)
     assert res.d1 is not None and res.d2 is None
+    with pytest.raises(InvalidInputError):
+        bary_evaluate(ns3, [1.0, 0.0, 1.0], 0.5, deriv=3)
 
 
 def test_length_mismatch(ns3):
@@ -153,11 +160,21 @@ def test_nodes_reproduce_stored_values_exactly(kind, n):
         assert res.d2 == pytest.approx(float(ns.d2[j] @ vals), abs=1e-14)
 
 
+def _entry_points(ns, vals):
+    """The 1D entry points as eta -> EvalResult; tensor_evaluate gives no p''."""
+    ev = ElementEvaluator(Shape.SEGMENT, TensorBasis((ns,)), FieldValues(vals))
+    return {"bary_evaluate": lambda eta: bary_evaluate(ns, vals, eta, deriv=2),
+            "phys_evaluate_1d": lambda eta: ev.phys_evaluate_1d(eta, deriv=2),
+            "tensor_evaluate": lambda eta: tensor_evaluate(ev.basis, ev.field, [eta],
+                                                           gradient=True)}
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("n", [5, 12, 21])
 def test_derivatives_next_to_a_node(kind, n):
     # offsets from 1e-15 to 1e-3 on both sides of every node, across the
-    # switch to the Taylor branch at TAYLOR_TOL
+    # switch to the Taylor branch at TAYLOR_TOL, through every 1D entry point
+    # (tensor_evaluate gives p' only)
     rng = np.random.default_rng(7 * n)
     ns = make_node_set(kind, n)
     coeffs = rng.uniform(-1, 1, size=n)
@@ -166,23 +183,25 @@ def test_derivatives_next_to_a_node(kind, n):
     vals = [horner_eval(coeffs, z) for z in ns.nodes]
     offsets = [s * 10.0**-e for e in range(3, 16) for s in (1.0, -1.0)]
     offsets += [s * TAYLOR_TOL * f for f in (0.999, 1.001) for s in (1.0, -1.0)]
-    for z in ns.nodes:
-        for off in offsets:
-            eta = z + off
-            if abs(eta) > 1.0:
-                continue
-            res = bary_evaluate(ns, vals, eta, deriv=2)
-            want1 = horner_eval(d1c, eta)
-            want2 = horner_eval(d2c, eta)
-            assert abs(res.d1[0] - want1) <= 1e-5 * max(1.0, abs(want1)), (z, off)
-            assert abs(res.d2 - want2) <= 1e-5 * max(1.0, abs(want2)), (z, off)
-        for s in (1.0, -1.0):
-            if abs(z + s * TAYLOR_TOL) > 1.0:
-                continue
-            below, above = (bary_evaluate(ns, vals, z + s * TAYLOR_TOL * f, deriv=2)
-                            for f in (0.999, 1.001))
-            assert abs(below.d1[0] - above.d1[0]) <= 1e-6 * max(1.0, abs(above.d1[0]))
-            assert abs(below.d2 - above.d2) <= 1e-5 * max(1.0, abs(above.d2))
+    for entry, evaluate in _entry_points(ns, vals).items():
+        for z in ns.nodes:
+            for off in offsets:
+                eta = z + off
+                if abs(eta) > 1.0:
+                    continue
+                res = evaluate(eta)
+                want1 = horner_eval(d1c, eta)
+                want2 = horner_eval(d2c, eta)
+                assert abs(res.d1[0] - want1) <= 1e-5 * max(1.0, abs(want1)), (entry, z, off)
+                if res.d2 is not None:
+                    assert abs(res.d2 - want2) <= 1e-5 * max(1.0, abs(want2)), (entry, z, off)
+            for s in (1.0, -1.0):
+                if abs(z + s * TAYLOR_TOL) > 1.0:
+                    continue
+                below, above = (evaluate(z + s * TAYLOR_TOL * f) for f in (0.999, 1.001))
+                assert abs(below.d1[0] - above.d1[0]) <= 1e-6 * max(1.0, abs(above.d1[0]))
+                if below.d2 is not None:
+                    assert abs(below.d2 - above.d2) <= 1e-5 * max(1.0, abs(above.d2))
 
 
 def test_division_count_is_linear():
