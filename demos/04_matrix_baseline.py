@@ -11,7 +11,6 @@ import numpy as np
 
 from baryeval import (
     ElementEvaluator,
-    OperatorMode,
     Shape,
     apply_operator,
     build_operator,
@@ -47,8 +46,3 @@ for m, xi in enumerate(points):
 
 print("\nderivative rows agree with the analytic gradient:")
 print(np.round(derivs[:, 0], 8), "vs", np.round(fld.grad(points[0]), 8))
-
-# recomputed mode rebuilds the rows inside every apply call
-rec = build_operator(shape, basis, points, mode=OperatorMode.RECOMPUTED)
-vals_rec, _ = apply_operator(rec, field)
-print("\nrecomputed-mode apply matches:", np.allclose(vals_rec, values))

@@ -44,7 +44,6 @@ from .fields import (
 from .kernel import EvalResult, bary_evaluate, counters, s_sum
 from .lagrange import (
     InterpOperator,
-    OperatorMode,
     apply_operator,
     build_operator,
     cardinal_values,

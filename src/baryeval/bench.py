@@ -10,14 +10,24 @@ Protocol per cell (shape, order, method, quantity):
 * the timed unit is one sweep evaluating all sampling points; sweeps are
   repeated `reps` times and mean/stddev of the sweep time are reported.
 
-Both timed kernels are straight-line Python over plain floats so the measured
-ratios track the arithmetic-operation counts of the algorithms rather than
-interpreter or array-dispatch overhead (the sampling grids are far too small
-for vectorized dispatch costs to be representative).  `bary` evaluates point
-by point through the collapse + contraction pipeline; `matrix_recomputed`
-rebuilds the cardinal operator rows from scratch inside the timed sweep and
-applies them as matrix-vector products; `matrix_cached` applies prebuilt
-matrices.  Every method is cross-checked against the per-point evaluator
+The two sweeps that the speedup report compares are straight-line Python over
+plain floats, so the measured ratios track the arithmetic-operation counts of
+the algorithms rather than interpreter or array-dispatch overhead (the
+sampling grids are far too small for vectorized dispatch costs to be
+representative):
+
+* `bary` evaluates point by point through collapse and the per-axis
+  barycentric reductions (the stage-1 contraction of 2D/3D elements is one
+  matrix-vector product);
+* `matrix_recomputed` rebuilds the cardinal value rows and cube-space
+  derivative rows inside the timed sweep, O(n^2) float loops per point and
+  axis, and applies them as matrix-vector products.
+
+Both apply the chain rule (`shapes._chain_rule`) to the d cube-space
+derivatives of each point.  `matrix_cached` applies matrices that
+`lagrange.build_operator` built before timing, whose derivative rows already
+hold the Jacobian.  Both matrix methods take 1D p'' as the value rows applied
+to D2 f.  Every method is cross-checked against the per-point evaluator
 before any timing starts.
 """
 
@@ -37,8 +47,9 @@ from .element import (SNAP_TOL, ElementEvaluator, axis_kinds, basis_for_order, s
 from .errors import InvalidInputError, ReportError
 from .fields import benchmark_field, random_interior_point
 from .kernel import TAYLOR_TOL
+from .lagrange import build_operator
 from .nodes import MAX_NODES, make_node_set
-from .shapes import Shape, _chain_rule, _collapse, _factors, dim_of, shape_from_name, spec_for
+from .shapes import Shape, _chain_rule, _collapse, dim_of, shape_from_name, spec_for
 from .tensor import TensorBasis
 
 METHOD_BARY = "bary"
@@ -314,121 +325,72 @@ class _BarySweep:
                 np.array(d2s) if d2s else None)
 
 
-def _jt_terms(spec, eta):
-    """Nonzero entries of J^T at eta: per region axis q, the pairs
-    (J[i, q], i), diagonal first."""
-    terms = [[(1.0, q)] for q in range(spec.dim)]
-    for a, chain, diag, off in _factors(spec, eta):
-        terms[a][0] = (diag, a)
-        for b in chain:
-            terms[b].append((off, a))
-    return terms
+def _tensor_row(per_axis):
+    """Tensor product of per-axis factor lists, dimension 1 fastest."""
+    row = per_axis[-1]
+    for factors in per_axis[-2::-1]:
+        row = [r * c for r in row for c in factors]
+    return row
 
 
-def _combine_rows(terms, rows):
-    """The row sum_k c_k * rows[i_k] over the one to three terms (c_k, i_k)."""
-    if len(terms) == 1:
-        ((c, i),) = terms
-        return rows[i] if c == 1.0 else [c * v for v in rows[i]]
-    if len(terms) == 2:
-        (c1, i1), (c2, i2) = terms
-        return [c1 * v1 + c2 * v2 for v1, v2 in zip(rows[i1], rows[i2])]
-    (c1, i1), (c2, i2), (c3, i3) = terms
-    return [c1 * v1 + c2 * v2 + c3 * v3
-            for v1, v2, v3 in zip(rows[i1], rows[i2], rows[i3])]
+def _d2_values(value_matrix, evaluator):
+    """1D p'' at every row's point: the value rows applied to D2 f."""
+    return value_matrix @ (evaluator.basis.axes[0].d2 @ evaluator.field.data)
 
 
-class _MatrixSweep:
-    """Cardinal-operator sweep; rebuilds the rows inside the call when
-    recomputed, otherwise applies prebuilt matrices."""
+class _CachedSweep:
+    """Applies a `lagrange` operator built once, outside the timed call."""
 
-    def __init__(self, evaluator, points, quantity, recompute):
+    def __init__(self, evaluator, points, quantity):
+        self.evaluator = evaluator
+        self.quantity = quantity
+        self.op = build_operator(evaluator.shape, evaluator.basis, points,
+                                 want_derivs=quantity != Q_VALUE)
+
+    def __call__(self):
+        op, field = self.op, self.evaluator.field.data
+        values = op.value_matrix @ field
+        if op.deriv_matrices is None:
+            return values, None, None
+        d2s = (_d2_values(op.value_matrix, self.evaluator)
+               if self.quantity == Q_VALUE_D1_D2 else None)
+        return values, (op.deriv_matrices @ field).T, d2s
+
+
+class _RebuiltSweep:
+    """Rebuilds the cardinal rows by O(n^2) float loops per point and axis
+    inside every call and applies them as matrix-vector products; the
+    cube-space derivatives of each point then go through the chain rule."""
+
+    def __init__(self, evaluator, points, quantity):
+        self.evaluator = evaluator
         self.el = _ScalarElement(evaluator)
         self.pts = [tuple(map(float, p)) for p in np.atleast_2d(points)]
         self.quantity = quantity
-        self.recompute = recompute
-        self.cached = None if recompute else self._build()
-
-    def _build(self):
-        el = self.el
-        q = self.quantity
-        dim = el.dim
-        value_rows = []
-        deriv_rows = [[] for _ in range(dim)] if q != Q_VALUE else None
-        d2_rows = [] if q == Q_VALUE_D1_D2 else None
-        for xi in self.pts:
-            eta = _collapse(el.spec, xi)
-            if q == Q_VALUE:
-                per_axis = [_scalar_cards(el.z[a], eta[a]) for a in range(dim)]
-                dper = None
-            else:
-                per_axis = []
-                dper = []
-                for a in range(dim):
-                    cards, dcards = _scalar_cards_derivs(el.z[a], eta[a])
-                    per_axis.append(cards)
-                    dper.append(dcards)
-            if dim == 1:
-                value_rows.append(per_axis[0])
-                if dper is not None:
-                    deriv_rows[0].append(dper[0])
-                if d2_rows is not None:
-                    cards = per_axis[0]
-                    d2_rows.append([
-                        sum(cards[i] * col[i] for i in range(len(cards)))
-                        for col in zip(*self.el.d2rows)
-                    ])
-                continue
-            if dim == 2:
-                c1, c2 = per_axis
-                row = [c1j * c2j for c2j in c2 for c1j in c1]
-                value_rows.append(row)
-                if dper is None:
-                    continue
-                de1 = [d1j * c2j for c2j in c2 for d1j in dper[0]]
-                de2 = [c1j * d2j for d2j in dper[1] for c1j in c1]
-                eta_rows = (de1, de2)
-            else:
-                c1, c2, c3 = per_axis
-                row = [c1j * c23 for c3k in c3 for c2j in c2
-                       for c23 in (c2j * c3k,) for c1j in c1]
-                value_rows.append(row)
-                if dper is None:
-                    continue
-                de1 = [d1j * c23 for c3k in c3 for c2j in c2
-                       for c23 in (c2j * c3k,) for d1j in dper[0]]
-                de2 = [c1j * d23 for c3k in c3 for d2j in dper[1]
-                       for d23 in (d2j * c3k,) for c1j in c1]
-                de3 = [c1j * c2d for d3k in dper[2] for c2j in c2
-                       for c2d in (c2j * d3k,) for c1j in c1]
-                eta_rows = (de1, de2, de3)
-            for rows, terms in zip(deriv_rows, _jt_terms(el.spec, eta)):
-                rows.append(_combine_rows(terms, eta_rows))
-        mats = [np.asarray(value_rows)]
-        if deriv_rows is not None:
-            mats.extend(np.asarray(rows) for rows in deriv_rows)
-        if d2_rows is not None:
-            mats.append(np.asarray(d2_rows))
-        return mats
 
     def __call__(self):
-        mats = self.cached if self.cached is not None else self._build()
-        field = self.el.field
-        values = mats[0] @ field
+        el = self.el
+        etas = [_collapse(el.spec, xi) for xi in self.pts]
         if self.quantity == Q_VALUE:
-            return values, None, None
-        dim = self.el.dim
-        grads = np.stack([mats[1 + a] @ field for a in range(dim)], axis=1)
-        if self.quantity == Q_VALUE_D1_D2:
-            return values, grads, mats[-1] @ field
-        return values, grads, None
+            rows = [_tensor_row(list(map(_scalar_cards, el.z, eta))) for eta in etas]
+            return np.asarray(rows) @ el.field, None, None
+        value_rows = []
+        deriv_rows = [[] for _ in range(el.dim)]
+        for eta in etas:
+            cards, dcards = zip(*map(_scalar_cards_derivs, el.z, eta))
+            value_rows.append(_tensor_row(cards))
+            for a, rows in enumerate(deriv_rows):
+                rows.append(_tensor_row(cards[:a] + dcards[a:a + 1] + cards[a + 1:]))
+        value_matrix = np.asarray(value_rows)
+        geta = (np.asarray(deriv_rows) @ el.field).T.tolist()
+        grads = np.array([_chain_rule(el.spec, eta, g) for eta, g in zip(etas, geta)])
+        d2s = (_d2_values(value_matrix, self.evaluator)
+               if self.quantity == Q_VALUE_D1_D2 else None)
+        return value_matrix @ el.field, grads, d2s
 
 
-def _make_sweep(method, evaluator, points, quantity):
-    if method == METHOD_BARY:
-        return _BarySweep(evaluator, points, quantity)
-    return _MatrixSweep(evaluator, points, quantity,
-                        recompute=method == METHOD_RECOMPUTED)
+_SWEEPS = {METHOD_BARY: _BarySweep, METHOD_CACHED: _CachedSweep,
+           METHOD_RECOMPUTED: _RebuiltSweep}
 
 
 # Cross-check tolerances per component: values are forward stable, first and
@@ -511,7 +473,7 @@ def run_bench(shapes=None, orders=None, reps=None, seed=0, methods=METHODS,
             evaluator = ElementEvaluator(shape, basis, field)
             for quantity in quantities or quantities_for(dim):
                 sweeps = {
-                    method: _make_sweep(method, evaluator, points, quantity)
+                    method: _SWEEPS[method](evaluator, points, quantity)
                     for method in methods
                 }
                 if crosscheck:
@@ -521,7 +483,7 @@ def run_bench(shapes=None, orders=None, reps=None, seed=0, methods=METHODS,
                          for _ in range(5)]
                     )
                     check_sweeps = {
-                        name: _make_sweep(name, evaluator, extra, quantity)
+                        name: _SWEEPS[name](evaluator, extra, quantity)
                         for name in sweeps
                     }
                     _crosscheck(evaluator, extra, check_sweeps, quantity)

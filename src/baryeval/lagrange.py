@@ -9,13 +9,11 @@ computed by the direct O(n^2) product formula at the collapsed coordinates of
 point m.  Derivative rows differentiate the product (sum-of-products via
 exclusive prefix/suffix products, still O(n^2) per point per axis) and are
 composed with the collapse Jacobian, mirroring the chain rule of the
-barycentric path.  In Recomputed mode the whole operator is rebuilt from
-scratch inside every apply call.
+barycentric path.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +22,6 @@ from .errors import InvalidInputError, OutOfRegionError
 from .shapes import collapse_batch, contains_batch, dim_of, jacobian_batch, spec_for
 
 REGION_TOL = 1e-10
-
-
-class OperatorMode(enum.Enum):
-    CACHED = "cached"
-    RECOMPUTED = "recomputed"
 
 
 def cardinal_values(nodes, etas):
@@ -81,7 +74,6 @@ class InterpOperator:
     points: np.ndarray          # (M, d) region coordinates
     value_matrix: np.ndarray    # (M, N)
     deriv_matrices: np.ndarray  # (d, M, N) or None
-    mode: OperatorMode
 
     @property
     def num_points(self):
@@ -97,18 +89,13 @@ class InterpOperator:
 
 def _assemble_rows(per_axis):
     """Tensor rows from per-axis (M, n_q) factors, dimension 1 fastest."""
-    if len(per_axis) == 1:
-        return per_axis[0].copy()
-    if len(per_axis) == 2:
-        c1, c2 = per_axis
-        rows = np.einsum("mj,mi->mji", c2, c1)
-    else:
-        c1, c2, c3 = per_axis
-        rows = np.einsum("mk,mj,mi->mkji", c3, c2, c1)
-    return rows.reshape(per_axis[0].shape[0], -1)
+    rows = per_axis[0]
+    for factors in per_axis[1:]:
+        rows = (factors[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
+    return rows
 
 
-def build_operator(shape, basis, points, want_derivs=False, mode=OperatorMode.CACHED):
+def build_operator(shape, basis, points, want_derivs=False):
     """Build the cardinal interpolation operator for the given query points."""
     if basis.dim != dim_of(shape):
         raise InvalidInputError(
@@ -130,7 +117,7 @@ def build_operator(shape, basis, points, want_derivs=False, mode=OperatorMode.CA
     if not want_derivs:
         cards = [cardinal_values(ax.nodes, etas[:, q]) for q, ax in enumerate(basis.axes)]
         value_matrix = _assemble_rows(cards)
-        return InterpOperator(shape, basis, points, value_matrix, None, mode)
+        return InterpOperator(shape, basis, points, value_matrix, None)
 
     cards, dcards = [], []
     for q, ax in enumerate(basis.axes):
@@ -149,26 +136,14 @@ def build_operator(shape, basis, points, want_derivs=False, mode=OperatorMode.CA
         deriv_matrices = np.einsum("miq,imn->qmn", jac, deta)
     else:
         deriv_matrices = deta
-    return InterpOperator(shape, basis, points, value_matrix, deriv_matrices, mode)
+    return InterpOperator(shape, basis, points, value_matrix, deriv_matrices)
 
 
 def apply_operator(op, field):
-    """Values (and derivatives) at all query points of the operator.
-
-    Recomputed mode rebuilds the operator from scratch inside this call, so a
-    timed apply includes the per-point O(n^2) build cost.
-    """
+    """Values (and derivatives) at all query points of the operator."""
     if len(field) != op.basis.size:
         raise InvalidInputError(
             f"field has {len(field)} values, grid has {op.basis.size}"
-        )
-    if op.mode is OperatorMode.RECOMPUTED:
-        op = build_operator(
-            op.shape,
-            op.basis,
-            op.points,
-            want_derivs=op.deriv_matrices is not None,
-            mode=OperatorMode.CACHED,
         )
     values = op.value_matrix @ field.data
     if op.deriv_matrices is None:

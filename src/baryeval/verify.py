@@ -20,7 +20,7 @@ from .bench import sampling_points
 from .element import ElementEvaluator, basis_for_order, sample_field
 from .errors import InvalidInputError
 from .fields import benchmark_field, random_exact_monomial, random_interior_point
-from .lagrange import OperatorMode, apply_operator, build_operator
+from .lagrange import apply_operator, build_operator
 from .shapes import ALL_SHAPES, dim_of
 
 ORDER_RANGE = (2, 20)
@@ -46,7 +46,7 @@ def check_oracle_equivalence(shape, order, tol=1e-11):
     field = sample_field(shape, basis, fld.eval)
     ev = ElementEvaluator(shape, basis, field)
     points = sampling_points(shape)
-    op = build_operator(shape, basis, points, mode=OperatorMode.CACHED)
+    op = build_operator(shape, basis, points)
     matrix_vals, _ = apply_operator(op, field)
     worst = max(
         _rel_err(ev.phys_evaluate(p).value, mv)

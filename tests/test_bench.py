@@ -62,9 +62,10 @@ def test_non_timing_columns_deterministic():
 
 
 def test_crosscheck_runs_all_methods():
-    # exercises the pre-timing verification hook on a collocation-heavy cell:
-    # order 6 makes the 2D sampling grid coincide with the basis grid
-    records = run_bench(shapes=[Shape.TRI, Shape.QUAD], orders=[6], reps=1)
+    # exercises the pre-timing verification hook on every shape, including
+    # the chain rule on collapsed shapes and the 1D value_d1_d2 cells; order 6
+    # makes the 2D sampling grid coincide with the basis grid
+    records = run_bench(shapes=ALL_SHAPES, orders=[6], reps=1)
     assert {r.method for r in records} == set((METHOD_BARY, METHOD_CACHED,
                                                METHOD_RECOMPUTED))
 

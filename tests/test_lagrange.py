@@ -6,7 +6,6 @@ from baryeval import (
     ElementEvaluator,
     FieldValues,
     InvalidInputError,
-    OperatorMode,
     OutOfRegionError,
     Shape,
     SingularCollapseError,
@@ -90,21 +89,6 @@ def test_derivative_rows_match_analytic_gradient(shape):
     for q in range(dim_of(shape)):
         for m, xi in enumerate(pts):
             assert derivs[q, m] == pytest.approx(fld.grad(xi)[q], abs=1e-10)
-
-
-def test_recomputed_mode_matches_cached():
-    shape = Shape.TRI
-    basis = basis_for_order(shape, 4)
-    fld = benchmark_field(2)
-    field = sample_field(shape, basis, fld.eval)
-    pts = np.array([[-0.5, -0.5], [-0.2, 0.1], [-0.9, 0.3]])
-    cached = build_operator(shape, basis, pts, want_derivs=True)
-    recomputed = build_operator(shape, basis, pts, want_derivs=True,
-                                mode=OperatorMode.RECOMPUTED)
-    va, da = apply_operator(cached, field)
-    vb, db = apply_operator(recomputed, field)
-    assert np.allclose(va, vb, rtol=0, atol=1e-14)
-    assert np.allclose(da, db, rtol=0, atol=1e-12)
 
 
 def test_storage_counts():
