@@ -41,7 +41,7 @@ from .fields import (
     random_exact_monomial,
     random_interior_point,
 )
-from .kernel import EvalResult, bary_evaluate, counters, s_sum
+from .kernel import EvalResult, bary_evaluate, counters
 from .lagrange import (
     InterpOperator,
     apply_operator,

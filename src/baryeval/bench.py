@@ -46,7 +46,6 @@ from .element import (SNAP_TOL, ElementEvaluator, axis_kinds, basis_for_order, s
                       xi_grid)
 from .errors import InvalidInputError, ReportError
 from .fields import benchmark_field, random_interior_point
-from .kernel import TAYLOR_TOL
 from .lagrange import build_operator
 from .nodes import MAX_NODES, make_node_set
 from .shapes import Shape, _chain_rule, _collapse, dim_of, shape_from_name, spec_for
@@ -155,13 +154,9 @@ class _ScalarElement:
         self.w = [ax.weights.tolist() for ax in basis.axes]
         self.d1rows = [ax.d1.tolist() for ax in basis.axes]
         self.d2rows = basis.axes[0].d2.tolist()
-        data = evaluator.field.data
-        if self.dim == 1:
-            self.lines = data.tolist()
-        else:
-            n1 = self.counts[0]
-            self.lines = data.reshape(len(data) // n1, n1).tolist()
-        self.field = data
+        self.field = evaluator.field.data
+        # the 1D sweep reads its one line of samples as floats
+        self.line = self.field.tolist() if self.dim == 1 else None
 
 
 class _BarySweep:
@@ -246,7 +241,7 @@ class _BarySweep:
         grads = []
         d2s = []
         if el.dim == 1:
-            z, w, data = el.z[0], el.w[0], el.lines
+            z, w, data = el.z[0], el.w[0], el.line
             for (e1,) in self.pts:
                 x = [zj - e1 for zj in z]
                 dist = list(map(abs, x))
@@ -269,17 +264,22 @@ class _BarySweep:
                     b = sum(map(_mul, t2, data))
                     c = sum(t2)
                     grads.append(((b * f - a * c) / (f * f),))
-                elif q == Q_VALUE_D1_D2:  # divided differences, a Taylor branch next to a node
-                    if nearest < TAYLOR_TOL:
-                        k = dist.index(nearest)
-                        d2 = sum(map(_mul, el.d2rows[k], data))
-                        grads.append((sum(map(_mul, el.d1rows[0][k], data)) - x[k] * d2,))
-                    else:
-                        dd1 = [(vj - value) / xj for vj, xj in zip(data, x)]
-                        d1 = sum(map(_mul, t1, dd1)) / f
-                        grads.append((d1,))
-                        d2 = 2.0 * sum(t * (e - d1) / xj for t, e, xj in zip(t1, dd1, x)) / f
-                    d2s.append(d2)
+                elif q == Q_VALUE_D1_D2:  # the kernel's l' and l'' rows
+                    r = [1.0 / xj for xj in x]
+                    lv = [t / f for t in t1]
+                    s = sum(map(_mul, lv, r))
+                    u = [rj - s for rj in r]
+                    # entry k of each row is minus the sum of the others
+                    k = dist.index(nearest)
+                    l1 = list(map(_mul, lv, u))
+                    l1[k] = 0.0
+                    l1[k] = -sum(l1)
+                    m = sum(map(_mul, l1, u))
+                    l2 = [2.0 * lj * (uj * rj - m) for lj, uj, rj in zip(lv, u, r)]
+                    l2[k] = 0.0
+                    l2[k] = -sum(l2)
+                    grads.append((sum(map(_mul, l1, data)),))
+                    d2s.append(sum(map(_mul, l2, data)))
         elif el.dim == 2:
             for xi in self.pts:
                 eta = _collapse(el.spec, xi)

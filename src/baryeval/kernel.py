@@ -6,13 +6,14 @@ O(n).  With x_j = z_j - eta, l = (w / x) / sum(w / x) and u = 1/x - sum(l / x),
 
     l'  = l u,     l'' = 2 l (u / x - sum(l u^2)).
 
-Entry k of l'' (k the nearest node) is replaced by minus the sum of the
-others, since the rows of a partition of unity sum to zero; computed
-directly it loses digits like eps / |eta - z_k|^2.  Within TAYLOR_TOL of
-node k the derivative rows come instead from the stored
-differentiation-matrix rows, l' = D[k] + delta D2[k] and l'' = D2[k] with
-delta = eta - z_k.  A query within SNAP_TOL of node k is collocated: the
-rows are the unit row e_k, D[k] and D2[k].
+Entry k of l' and of l'' (k the nearest node) is taken as minus the sum of
+the others, since the rows of a partition of unity sum to zero; computed
+directly they lose digits like eps / |eta - z_k| and eps / |eta - z_k|^2.
+With t = w / x, f = sum t and the sums f' = sum_{j != k} t_j and
+c' = sum_{j != k} t_j / x_j, this is l'_k = t_k (f' / x_k - c') / f^2,
+which has no cancellation.  A query within SNAP_TOL of node k is
+collocated: the rows are the unit row e_k, D[k] and D2[k].  Every other
+query takes the one formula above.
 
 `tensor._contract` reduces the samples of any shape with these rows axis by
 axis; `bary_evaluate` applies them to one line of samples.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CollocationError, InvalidInputError
+from .errors import InvalidInputError
 
 # Cube coordinates within this distance of a node are collocated with it and
 # snapped onto it.  Collapse arithmetic perturbs grid-point preimages by a few
@@ -33,10 +34,6 @@ from .errors import CollocationError, InvalidInputError
 # collocation branch.  The value perturbation for genuinely distinct points is
 # below 1e-12 times the field derivative.
 SNAP_TOL = 1e-12
-
-# Below this distance to a node the derivative rows lose more digits than the
-# first-order Taylor expansion from the differentiation rows.
-TAYLOR_TOL = 1e-8
 
 
 @dataclass
@@ -46,8 +43,8 @@ class OpCounters:
     One kernel call (a reduction) is one line of samples reduced by the rows
     of one axis, however many rows there are; `per_call_nodes` records the
     line length.  One division is one floating-point division while the rows
-    are built: n + 1 for l, n + 1 more for l' off the Taylor branch and n
-    more for l''.  Collocated rows cost none.
+    are built: n + 1 for l, n + 2 more for l' and n more for l''.  Collocated
+    rows cost none.
     """
 
     enabled: bool = False
@@ -90,34 +87,19 @@ def _collocated_index(nodes, eta):
     return -1
 
 
-def s_sum(r, values, nodeset, eta):
-    """The weighted power sum sum_j v_j * w_j / (eta - z_j)^r in one pass."""
-    if r not in (1, 2, 3):
-        raise InvalidInputError(f"sum order must be 1, 2 or 3, got {r}")
-    v = np.asarray(values, dtype=float)
-    z = nodeset.nodes
-    if len(v) != len(z):
-        raise InvalidInputError(f"expected {len(z)} values, got {len(v)}")
-    if _collocated_index(z, eta) >= 0:
-        raise CollocationError(f"point {eta} is collocated with a node")
-    x = eta - z
-    return float(np.sum(v * nodeset.weights / x**r))
-
-
 def _axis_rows(ax, e, deriv):
     """Cardinal rows of one axis at coordinate e, and e snapped onto a node.
 
     Returns l, [l; l'] or [l; l'; l''] for deriv = 0, 1 or 2 as a
     (deriv + 1, n) array; see the module docstring for the formulas and the
-    collocated and Taylor branches.  A collocated e becomes the node.
+    collocated branch.  A collocated e becomes the node.
     """
     if not math.isfinite(e):
         raise InvalidInputError(f"query coordinate {e} is not finite")
     x = ax.nodes - e
     k = int(np.abs(x).argmin())
-    near = abs(x.item(k))
     rows = np.zeros((deriv + 1, ax.n))
-    if near <= SNAP_TOL:
+    if abs(x.item(k)) <= SNAP_TOL:
         rows[0, k] = 1.0
         if deriv:
             rows[1] = ax.d1[k]
@@ -126,20 +108,24 @@ def _axis_rows(ax, e, deriv):
         return rows, float(ax.nodes[k])
     lv = rows[0]
     np.divide(ax.weights, x, out=lv)
-    if not deriv or near < TAYLOR_TOL:
+    if not deriv:
         lv *= 1.0 / np.add.reduce(lv)
-        if deriv:
-            rows[1:] = (ax.d1[k] - x[k] * ax.d2[k], ax.d2[k])[:deriv]
         if counters.enabled:
             counters.divisions += ax.n + 1
         return rows, e
-    # l' = l u = (t / x - t s) / f with t = w / x, f = sum t, s = sum(t / x) / f
+    # l' = l u = (t / x - t s) / f with t = w / x, f = sum t, s = sum(t / x) / f;
+    # with t_k zeroed the one reduction gives f' and c', the sums over j != k
     l1 = rows[1]
+    tk, xk = lv.item(k), x.item(k)
+    lv[k] = 0.0
     np.divide(lv, x, out=l1)
-    f, c, *_ = np.add.reduce(rows, axis=1).tolist()  # an l'' row is still zero
-    s = c / f
+    f1, c1, *_ = np.add.reduce(rows, axis=1).tolist()  # an l'' row is still zero
+    lv[k] = tk
+    g = 1.0 / (f1 + tk)
+    s = (c1 + tk / xk) * g
     l1 -= lv * s
-    rows *= 1.0 / f
+    rows *= g
+    l1[k] = tk * (f1 / xk - c1) * g * g
     if deriv > 1:
         r = 1.0 / x
         u = r - s
@@ -149,7 +135,7 @@ def _axis_rows(ax, e, deriv):
         l2[k] = 0.0
         l2[k] = -l2.sum()
     if counters.enabled:
-        counters.divisions += (3 if deriv > 1 else 2) * ax.n + 2
+        counters.divisions += (3 if deriv > 1 else 2) * ax.n + 3
     return rows, e
 
 

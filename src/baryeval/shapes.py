@@ -264,19 +264,24 @@ def contains_point(shape, xi, tol):
     return _inside(spec, _floats(spec, xi), tol)
 
 
-def collapse(shape, xi, region_tol=1e-10):
-    """Map a region point xi to cube coordinates eta (inverse of expand).
-
-    On singular faces the collapsed coordinate degenerates to -1 and the
-    remaining coordinates are kept.
-    """
+def collapse_floats(shape, xi, region_tol=1e-10):
+    """`collapse` as a list of floats; refuses a point outside the region."""
     spec = SHAPE_SPECS[shape]
     x = _floats(spec, xi)
     if not _inside(spec, x, region_tol):
         raise OutOfRegionError(
             f"{np.array(x)} lies outside the {shape.value} reference region"
         )
-    return np.array(_collapse(spec, x))
+    return _collapse(spec, x)
+
+
+def collapse(shape, xi, region_tol=1e-10):
+    """Map a region point xi to cube coordinates eta (inverse of expand).
+
+    On singular faces the collapsed coordinate degenerates to -1 and the
+    remaining coordinates are kept.
+    """
+    return np.array(collapse_floats(shape, xi, region_tol))
 
 
 def jacobian(shape, eta, eps_sing=SINGULAR_TOL):

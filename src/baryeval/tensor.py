@@ -9,6 +9,7 @@ univariate formula of the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ class TensorBasis:
 
     @property
     def size(self):
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
 
 @dataclass(frozen=True)

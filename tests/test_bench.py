@@ -3,7 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from baryeval import ALL_SHAPES, InvalidInputError, ReportError, Shape
+from baryeval import (ALL_SHAPES, ElementEvaluator, InvalidInputError, ReportError, Shape,
+                      bary_evaluate, basis_for_order, sample_field)
 from baryeval.bench import (
     METHOD_BARY,
     METHOD_CACHED,
@@ -12,6 +13,7 @@ from baryeval.bench import (
     Q_VALUE_D1,
     Q_VALUE_D1_D2,
     BenchRecord,
+    _BarySweep,
     csv_text,
     parse_orders,
     parse_shapes,
@@ -68,6 +70,28 @@ def test_crosscheck_runs_all_methods():
     records = run_bench(shapes=ALL_SHAPES, orders=[6], reps=1)
     assert {r.method for r in records} == set((METHOD_BARY, METHOD_CACHED,
                                                METHOD_RECOMPUTED))
+
+
+def test_segment_cell_with_seed_36():
+    # regression input: the order-12 segment cell with seed 36 once failed
+    # the value_d1_d2 cross-check
+    records = run_bench(shapes=[Shape.SEGMENT], orders=[12], reps=1, seed=36)
+    assert {r.quantity for r in records} == {Q_VALUE, Q_VALUE_D1, Q_VALUE_D1_D2}
+
+
+def test_bary_sweep_second_derivative_next_to_a_node():
+    # the 1D float loop builds the kernel's l' and l'' rows; it must match
+    # bary_evaluate at offsets where entry k, computed directly, loses digits
+    basis = basis_for_order(Shape.SEGMENT, 12)
+    ev = ElementEvaluator(Shape.SEGMENT, basis, sample_field(
+        Shape.SEGMENT, basis, lambda xi: np.sin(3.0 * xi[0])))
+    ax = basis.axes[0]
+    pts = [[z + off] for z in ax.nodes[1:-1] for off in (1e-11, -1e-9, 1e-8, -1e-7, 1e-5)]
+    _, grads, d2s = _BarySweep(ev, pts, Q_VALUE_D1_D2)()
+    for (eta,), g, d2 in zip(pts, grads, d2s):
+        ref = bary_evaluate(ax, ev.field.data, eta, deriv=2)
+        assert abs(g[0] - ref.d1[0]) <= 1e-10 * max(1.0, abs(ref.d1[0]))
+        assert abs(d2 - ref.d2) <= 1e-10 * max(1.0, abs(ref.d2))
 
 
 def test_direction_bary_beats_recomputed():

@@ -241,11 +241,12 @@ def _row_path_points(shape, basis, rng):
     vertices = np.asarray(SHAPE_SPECS[shape].vertices)
     singular = [p for p in (0.5 * (u + v) for u in vertices for v in vertices)
                 if singular_distance(shape, p) < SINGULAR_TOL]
-    # cube points 1e-11 to 1e-9 from an interior node on one axis, on both
-    # sides, where the derivative rows take the Taylor branch
+    # cube points 1e-11 to 1e-7 from an interior node on one axis, on both
+    # sides, where entry k of the derivative rows would lose digits if it
+    # were computed directly
     near_node = []
     for q, ax in enumerate(basis.axes):
-        for off in (1e-11, -1e-11, 1e-10, -1e-10, 1e-9, -1e-9):
+        for off in (1e-11, -1e-11, 1e-10, -1e-10, 1e-9, -1e-9, 1e-8, -1e-8, 1e-7, -1e-7):
             eta = rng.uniform(-0.8, 0.8, size=basis.dim)
             eta[q] = ax.nodes[rng.integers(1, ax.n - 1)] + off
             near_node.append(expand(shape, eta))
