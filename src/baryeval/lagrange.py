@@ -9,7 +9,11 @@ computed by the direct O(n^2) product formula at the collapsed coordinates of
 point m.  Derivative rows differentiate the product (sum-of-products via
 exclusive prefix/suffix products, still O(n^2) per point per axis) and are
 composed with the collapse Jacobian, mirroring the chain rule of the
-barycentric path.
+barycentric path.  The Jacobian is applied before the tensor product, on the
+rows of axes 2..d, through its nonzero entries only; one batched product
+with the axis-1 values and derivatives then writes the value row and the d
+derivative rows of every point once, into one C-contiguous (1 + d, M, N)
+array whose slices are the value matrix and the derivative stack.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, OutOfRegionError
-from .shapes import collapse_batch, contains_batch, dim_of, jacobian_batch, spec_for
+from .errors import InvalidInputError, OutOfRegionError, SingularCollapseError
+from .shapes import collapse_batch, contains_batch, dim_of, jacobian_entries
 
 REGION_TOL = 1e-10
 
@@ -95,8 +99,45 @@ def _assemble_rows(per_axis):
     return rows
 
 
+def _operator_rows(cards, dcards, jac):
+    """Value and region-derivative rows in one C-contiguous (1 + d, M, N) array.
+
+    Every row splits over axis 1 as R_r (x) l_1 + S_r (x) l_1', with R_r and
+    S_r on axes 2..d (M x N/n_1):
+
+        value row       R = P,  S = 0,          P = prod_{q >= 2} l_q
+        d/dxi_b row     R = sum_{a >= 2} J[a, b] P_a',   S = J[1, b] P
+
+    where P_a' is P with l_a' in place of l_a.  `jac` holds the nonzero
+    entries of the collapse Jacobian only (`shapes.jacobian_entries`), so it
+    enters at the small M x N/n_1 level, and one batched product with
+    [l_1; l_1'] writes every full row once.
+    """
+    m, d = len(cards[0]), len(cards)
+    tails = [
+        _assemble_rows([dcards[q] if q == a else cards[q] for q in range(1, d)])
+        if d > 1 else np.ones((m, 1))
+        for a in range(d)
+    ]  # tails[0] is P, tails[a] is P_a'
+    k, n1 = tails[0].shape[1], cards[0].shape[1]
+    parts = np.zeros((1 + d, m, k, 2))  # [R_r, S_r]
+    parts[0, :, :, 0] = tails[0]
+    for (a, b), coef in jac.items():
+        term = tails[a] if coef is None else coef[:, None] * tails[a]
+        parts[1 + b, :, :, 1 if a == 0 else 0] += term
+    first = np.concatenate((cards[0], dcards[0]), axis=1).reshape(m, 2, n1)  # [l_1; l_1']
+    rows = np.empty((1 + d, m, k * n1))
+    np.matmul(parts, first, out=rows.reshape(1 + d, m, k, n1))
+    return rows
+
+
 def build_operator(shape, basis, points, want_derivs=False):
-    """Build the cardinal interpolation operator for the given query points."""
+    """Build the cardinal interpolation operator for the given query points.
+
+    Refuses, naming the index and coordinates of the first bad point, a point
+    outside the reference region (`OutOfRegionError`) and, with derivatives,
+    a point on a singular face of the collapse (`SingularCollapseError`).
+    """
     if basis.dim != dim_of(shape):
         raise InvalidInputError(
             f"basis dim {basis.dim} does not match {shape.value} dim {dim_of(shape)}"
@@ -108,9 +149,9 @@ def build_operator(shape, basis, points, want_derivs=False):
         )
     inside = contains_batch(shape, points, REGION_TOL)
     if not np.all(inside):
-        bad = points[~inside][0]
+        m = int(np.argmin(inside))
         raise OutOfRegionError(
-            f"{bad} lies outside the {shape.value} reference region"
+            f"point {m} at {points[m]} lies outside the {shape.value} reference region"
         )
     etas = collapse_batch(shape, points)
 
@@ -119,24 +160,19 @@ def build_operator(shape, basis, points, want_derivs=False):
         value_matrix = _assemble_rows(cards)
         return InterpOperator(shape, basis, points, value_matrix, None)
 
-    cards, dcards = [], []
-    for q, ax in enumerate(basis.axes):
-        c, dc = cardinal_values_and_derivatives(ax.nodes, etas[:, q])
-        cards.append(c)
-        dcards.append(dc)
-    value_matrix = _assemble_rows(cards)
-    deta = np.stack(
-        [
-            _assemble_rows([dcards[i] if i == q else cards[i] for i in range(basis.dim)])
-            for q in range(basis.dim)
-        ]
-    )
-    if spec_for(shape).duffy_pairs:
-        jac = jacobian_batch(shape, etas)  # raises on singular faces
-        deriv_matrices = np.einsum("miq,imn->qmn", jac, deta)
-    else:
-        deriv_matrices = deta
-    return InterpOperator(shape, basis, points, value_matrix, deriv_matrices)
+    jac, singular = jacobian_entries(shape, etas)
+    if singular.any():
+        m = int(np.argmax(singular))
+        raise SingularCollapseError(
+            f"point {m} at {points[m]} lies on a singular face of the {shape.value} "
+            "collapse, where derivative rows are undefined"
+        )
+    cards, dcards = zip(*(
+        cardinal_values_and_derivatives(ax.nodes, etas[:, q])
+        for q, ax in enumerate(basis.axes)
+    ))
+    rows = _operator_rows(cards, dcards, jac)
+    return InterpOperator(shape, basis, points, rows[0], rows[1:])
 
 
 def apply_operator(op, field):

@@ -7,10 +7,17 @@ them by one evaluator in one contraction per point.  The problem is square
 (d maps, d unknowns) and every evaluation returns the exact Jacobian
 J = dX/dxi, so the search takes the Gauss-Newton direction -J^{-1} r, falling
 back to steepest descent -J^T r where J is singular or the direction does not
-descend.  Step lengths backtrack from a unit step under the Armijo rule;
-trial points leaving the reference region are projected back onto the
-violated constraints.  Each trial point is evaluated once, value and
-Jacobian together, and the accepted one becomes the next iterate.
+descend.  Step lengths backtrack from a unit step under the Armijo rule,
+and a trial point is accepted only if it lowers f; trial points leaving the
+reference region are projected back onto the violated constraints.  Each
+trial point is evaluated once, value and Jacobian together, and the accepted
+one becomes the next iterate.
+
+For a target outside the element f keeps a positive minimum on the
+boundary, where its gradient does not vanish.  After a step that had to
+backtrack, the search therefore also stops, not converged, once the
+projected steepest-descent step P(xi - grad f) moves xi by at most
+grad_tol * scale while f is still above the convergence bound.
 """
 
 from __future__ import annotations
@@ -72,14 +79,16 @@ def project_into_region(shape, xi, max_passes=60):
     convex, so the segment to an interior point crosses the boundary once).
     """
     xi = np.array(xi, dtype=float)
+    if contains_point(shape, xi, 1e-12):
+        return xi
     constraints = [(np.asarray(a, dtype=float), b) for a, b in spec_for(shape).halfspaces]
     for _ in range(max_passes):
-        if contains_point(shape, xi, 1e-12):
-            return xi
         for a, b in constraints:
             excess = a @ xi - b
             if excess > 0.0:
                 xi -= excess * a / (a @ a)
+        if contains_point(shape, xi, 1e-12):
+            return xi
     mid = centroid(shape)
     lo, hi = 0.0, 1.0
     for _ in range(80):
@@ -134,7 +143,7 @@ def locate(problem):
         alpha = 1.0
         while alpha > 1e-14:
             trial = evaluate(project_into_region(shape, xi + alpha * direction))
-            if trial[0] <= fval + cfg.armijo_c * alpha * slope:
+            if trial[0] < fval and trial[0] <= fval + cfg.armijo_c * alpha * slope:
                 break
             alpha *= cfg.backtrack_factor
         else:
@@ -142,6 +151,10 @@ def locate(problem):
         if cfg.keep_history:
             history.append((fval, trial[0], alpha, slope))
         fval, jac, r, xi = trial
+        if alpha < 1.0 and fval > cfg.grad_tol * scale and np.linalg.norm(
+            project_into_region(shape, xi - jac.T @ r) - xi
+        ) <= cfg.grad_tol * scale:
+            break  # stationary on the boundary: the target lies outside
 
     gnorm = float(np.linalg.norm(jac.T @ r))
     residual = float(np.linalg.norm(r))

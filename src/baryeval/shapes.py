@@ -72,9 +72,10 @@ class ShapeSpec:
     halfspaces: tuple         # ((a, b), ...): the region is a.xi <= b for each row
     # Derived, 0-based: ((a, C(a), 2 - |C(a)|), ...) per collapsed axis in
     # descending a, the order the chain rule needs; the half-spaces as sparse
-    # rows (((i, a_i), ...), b).
+    # rows (((i, a_i), ...), b); the vertex average, read-only.
     chains: tuple = field(init=False, repr=False, compare=False)
     region: tuple = field(init=False, repr=False, compare=False)
+    centroid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         along = dict(self.duffy_pairs)
@@ -90,8 +91,11 @@ class ShapeSpec:
             (tuple((i, float(c)) for i, c in enumerate(a) if c), float(b))
             for a, b in self.halfspaces
         )
+        mid = np.asarray(self.vertices, dtype=float).mean(axis=0)
+        mid.flags.writeable = False
         object.__setattr__(self, "chains", tuple(sorted(chains, reverse=True)))
         object.__setattr__(self, "region", region)
+        object.__setattr__(self, "centroid", mid)
 
 
 SHAPE_SPECS = {
@@ -165,7 +169,7 @@ def dim_of(shape):
 
 def centroid(shape):
     """Vertex average; an interior point for every reference region."""
-    return np.asarray(SHAPE_SPECS[shape].vertices, dtype=float).mean(axis=0)
+    return SHAPE_SPECS[shape].centroid.copy()
 
 
 def ancestors(shape, q):
@@ -354,21 +358,43 @@ def collapse_batch(shape, xis):
     return np.clip(etas, -1.0, 1.0, out=etas)
 
 
-def jacobian_batch(shape, etas, eps_sing=SINGULAR_TOL):
-    """Vectorized jacobian over an (M, d) array of cube points."""
+def jacobian_entries(shape, etas, eps_sing=SINGULAR_TOL):
+    """The nonzero entries of `jacobian` over an (M, d) array of cube points.
+
+    Returns {(a, b): J[a, b]} with each entry an (M,) column, or None for the
+    unit diagonal entry of an axis that does not collapse, and a boolean mask
+    of the points where some collapse denominator is below eps_sing; their
+    entries are not finite, and callers refuse them.
+    """
     spec = SHAPE_SPECS[shape]
     etas = _rows(spec, etas)
-    m, d = etas.shape
-    jac = np.tile(np.eye(d), (m, 1, 1))
+    entries = {(a, a): None for a in range(spec.dim)}
+    singular = np.zeros(len(etas), dtype=bool)
     for a, chain, _ in spec.chains:
         den = 2.0
         for b in chain:
             den = den * (0.5 * (1.0 - etas[:, b]))
-        if np.any(np.abs(den) < eps_sing):
-            raise SingularCollapseError("collapse singular at a batch point")
-        jac[:, a, a] = 2.0 / den
+        singular |= np.abs(den) < eps_sing
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entries[a, a] = 2.0 / den
+            off = (1.0 + etas[:, a]) / den
         for b in chain:
-            jac[:, a, b] = (1.0 + etas[:, a]) / den
+            entries[a, b] = off
+    return entries, singular
+
+
+def jacobian_batch(shape, etas, eps_sing=SINGULAR_TOL):
+    """Vectorized jacobian over an (M, d) array of cube points."""
+    entries, singular = jacobian_entries(shape, etas, eps_sing)
+    if singular.any():
+        m = int(np.argmax(singular))
+        raise SingularCollapseError(
+            f"collapse singular at batch point {m}, eta={np.asarray(etas)[m]}"
+        )
+    jac = np.tile(np.eye(dim_of(shape)), (len(singular), 1, 1))
+    for (a, b), column in entries.items():
+        if column is not None:
+            jac[:, a, b] = column
     return jac
 
 

@@ -184,6 +184,34 @@ def test_derivatives_next_to_a_node(kind, n):
                     assert abs(below.d2 - above.d2) <= 1e-9 * max(1.0, abs(above.d2))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    n=st.sampled_from([5, 12, 21]),
+    node=st.integers(0, 20),
+    exponent=st.floats(min_value=3.0, max_value=15.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    seed=st.integers(0, 1000),
+)
+def test_derivatives_next_to_a_node_property(kind, n, node, exponent, sign, seed):
+    # the offset scan above as a property: any offset 1e-15..1e-3 from any
+    # node, against Horner, through every 1D entry point
+    ns = make_node_set(kind, n)
+    coeffs = np.random.default_rng(seed).uniform(-1, 1, size=n)
+    d1c = horner_derivative_coeffs(coeffs)
+    d2c = horner_derivative_coeffs(d1c)
+    vals = [horner_eval(coeffs, z) for z in ns.nodes]
+    eta = ns.nodes[node % n] + sign * 10.0**-exponent
+    if abs(eta) > 1.0:
+        eta = ns.nodes[node % n] - sign * 10.0**-exponent
+    want1, want2 = horner_eval(d1c, eta), horner_eval(d2c, eta)
+    for entry, evaluate in _entry_points(ns, vals).items():
+        res = evaluate(eta)
+        assert abs(res.d1[0] - want1) <= 1e-9 * max(1.0, abs(want1)), entry
+        if res.d2 is not None:
+            assert abs(res.d2 - want2) <= 1e-9 * max(1.0, abs(want2)), entry
+
+
 def test_division_count_is_linear():
     ns = make_node_set(NodeKind.GAUSS_LOBATTO_LEGENDRE, 17)
     vals = np.arange(17.0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,10 @@ from baryeval import (
     sample_field,
     xi_grid,
 )
-from baryeval.fields import random_interior_point
-from baryeval.lagrange import cardinal_values, cardinal_values_and_derivatives
-from baryeval.shapes import centroid, dim_of
+from baryeval.fields import random_interior_point, singular_distance
+from baryeval.lagrange import _assemble_rows, cardinal_values, cardinal_values_and_derivatives
+from baryeval.shapes import (SINGULAR_TOL, centroid, collapse_batch, dim_of, jacobian_batch,
+                             spec_for)
 
 
 def test_segment_row_example():
@@ -152,3 +155,87 @@ def test_non_finite_point_refused(shape, bad):
     for want_derivs in (False, True):
         with pytest.raises(OutOfRegionError):
             build_operator(shape, basis, points, want_derivs=want_derivs)
+
+
+def _reference_deriv_rows(shape, basis, points):
+    """The derivative rows assembled the long way: d cube-space matrices, then
+    the collapse Jacobian applied to the stack."""
+    etas = collapse_batch(shape, points)
+    cards, dcards = zip(*(
+        cardinal_values_and_derivatives(ax.nodes, etas[:, q])
+        for q, ax in enumerate(basis.axes)
+    ))
+    d = basis.dim
+    deta = np.stack([
+        _assemble_rows([dcards[i] if i == q else cards[i] for i in range(d)])
+        for q in range(d)
+    ])
+    return np.einsum("miq,imn->qmn", jacobian_batch(shape, etas), deta)
+
+
+def _batch(shape, rng, m=64):
+    return np.array([
+        random_interior_point(shape, rng, singular_margin=0.05) for _ in range(m)
+    ])
+
+
+def _sampling_points_off_singular_faces(shape):
+    from baryeval.bench import sampling_points
+
+    pts = sampling_points(shape)
+    return pts[[singular_distance(shape, xi) > SINGULAR_TOL for xi in pts]]
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+@pytest.mark.parametrize("order", [2, 7])
+def test_derivative_rows_match_the_reference_assembly(shape, order):
+    rng = np.random.default_rng(order)
+    basis = basis_for_order(shape, order)
+    for points in (_batch(shape, rng), _sampling_points_off_singular_faces(shape)):
+        op = build_operator(shape, basis, points, want_derivs=True)
+        for got, want in ((op.value_matrix, build_operator(shape, basis, points).value_matrix),
+                          (op.deriv_matrices, _reference_deriv_rows(shape, basis, points))):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+HIGH_ORDER_CELLS = [(Shape.HEX, 12), (Shape.TET, 14), (Shape.PRISM, 13), (Shape.PYR, 12),
+                    (Shape.SEGMENT, 14), (Shape.TRI, 12)]
+
+
+@pytest.mark.parametrize("shape, order", HIGH_ORDER_CELLS)
+def test_operator_matches_barycentric_path_at_high_order(shape, order):
+    rng = np.random.default_rng(order)
+    basis = basis_for_order(shape, order)
+    field = FieldValues(rng.uniform(-1.0, 1.0, size=basis.size))
+    ev = ElementEvaluator(shape, basis, field)
+    d = dim_of(shape)
+    for points in (_batch(shape, rng, 32), _sampling_points_off_singular_faces(shape)):
+        m = len(points)
+        op = build_operator(shape, basis, points, want_derivs=True)
+        assert op.value_matrix.shape == (m, basis.size)
+        assert op.deriv_matrices.shape == (d, m, basis.size)
+        assert op.value_matrix.flags.c_contiguous and op.deriv_matrices.flags.c_contiguous
+        values, grads = apply_operator(op, field)
+        want = [ev.phys_evaluate(xi, gradient=True) for xi in points]
+        want_values = np.array([w.value for w in want])
+        want_grads = np.array([w.d1 for w in want]).T
+        assert np.max(np.abs(values - want_values)) <= 1e-12 * max(1.0, np.max(np.abs(want_values)))
+        assert np.max(np.abs(grads - want_grads)) <= 1e-12 * max(1.0, np.max(np.abs(want_grads)))
+
+
+@pytest.mark.parametrize("want_derivs", [False, True])
+def test_out_of_region_refusal_names_the_first_bad_point(want_derivs):
+    basis = basis_for_order(Shape.TRI, 3)
+    points = [[-0.5, -0.5], [0.0, 0.0], [0.6, 0.6], [0.7, 0.7]]
+    with pytest.raises(OutOfRegionError, match=r"point 2 at \[0\.6 0\.6\]"):
+        build_operator(Shape.TRI, basis, points, want_derivs=want_derivs)
+
+
+@pytest.mark.parametrize("shape", [s for s in ALL_SHAPES if spec_for(s).duffy_pairs])
+def test_singular_refusal_names_the_first_bad_point(shape):
+    basis = basis_for_order(shape, 3)
+    vertices = np.asarray(spec_for(shape).vertices, dtype=float)
+    apex = vertices[[singular_distance(shape, v) <= SINGULAR_TOL for v in vertices]][-1]
+    points = np.array([centroid(shape), centroid(shape), apex, apex])
+    with pytest.raises(SingularCollapseError, match=rf"point 2 at {re.escape(str(apex))}"):
+        build_operator(shape, basis, points, want_derivs=True)

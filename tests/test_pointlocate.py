@@ -216,3 +216,23 @@ def test_locate_recovers_every_target_of_quadratic_maps(shape):
         res = locate(LocateProblem(shape, basis, fields, outside, cfg))
         assert not res.converged
         assert contains_point(shape, res.xi, 1e-9)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_outside_targets_stop_on_the_boundary(shape):
+    # A target outside the element has no preimage: the search stops where
+    # the projected steepest-descent step no longer moves xi, in the region.
+    d = dim_of(shape)
+    rng = np.random.default_rng(list(Shape).index(shape))
+    basis = basis_for_order(shape, 6)
+    for _ in range(4):
+        x_of = _quadratic_map(d, rng, 0.3)
+        fields = tuple(
+            sample_field(shape, basis, lambda xi, i=i: float(x_of(xi)[i])) for i in range(d)
+        )
+        direction = rng.normal(size=d)
+        target = x_of(centroid(shape)) + 10.0 * direction / np.linalg.norm(direction)
+        res = locate(LocateProblem(shape, basis, fields, target))
+        assert not res.converged
+        assert res.iterations <= 10, direction
+        assert contains_point(shape, res.xi, 1e-9)
