@@ -14,10 +14,11 @@ trial point is evaluated once, value and Jacobian together, and the accepted
 one becomes the next iterate.
 
 For a target outside the element f keeps a positive minimum on the
-boundary, where its gradient does not vanish.  After a step that had to
-backtrack, the search therefore also stops, not converged, once the
-projected steepest-descent step P(xi - grad f) moves xi by at most
-grad_tol * scale while f is still above the convergence bound.
+boundary, where its gradient does not vanish.  When a unit step fails, the
+search therefore also stops, not converged, if the projected
+steepest-descent step P(xi - grad f) moves xi by at most grad_tol * scale
+while f is still above the convergence bound; a step that succeeds at once
+pays nothing for the test.
 """
 
 from __future__ import annotations
@@ -125,11 +126,12 @@ def locate(problem):
     fval, jac, r, xi = evaluate(project_into_region(shape, xi))
     history = []
     iterations = 0
+    tol = cfg.grad_tol * scale
 
     for _ in range(cfg.max_iters):
         grad = jac.T @ r
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= cfg.grad_tol * scale or fval == 0.0:
+        if gnorm <= tol or fval == 0.0:
             break
         iterations += 1
         try:
@@ -145,21 +147,18 @@ def locate(problem):
             trial = evaluate(project_into_region(shape, xi + alpha * direction))
             if trial[0] < fval and trial[0] <= fval + cfg.armijo_c * alpha * slope:
                 break
+            if alpha == 1.0 and fval > tol and np.linalg.norm(
+                project_into_region(shape, xi - grad) - xi
+            ) <= tol:
+                alpha = 0.0  # stationary on the boundary: the target lies outside
             alpha *= cfg.backtrack_factor
         else:
             break  # no acceptable step remains
         if cfg.keep_history:
             history.append((fval, trial[0], alpha, slope))
         fval, jac, r, xi = trial
-        if alpha < 1.0 and fval > cfg.grad_tol * scale and np.linalg.norm(
-            project_into_region(shape, xi - jac.T @ r) - xi
-        ) <= cfg.grad_tol * scale:
-            break  # stationary on the boundary: the target lies outside
 
     gnorm = float(np.linalg.norm(jac.T @ r))
     residual = float(np.linalg.norm(r))
-    converged = (
-        gnorm <= cfg.grad_tol * scale
-        and residual <= np.sqrt(2.0 * cfg.grad_tol * scale)
-    )
+    converged = gnorm <= tol and residual <= np.sqrt(2.0 * tol)
     return LocateResult(xi, residual, iterations, converged, history)
