@@ -142,21 +142,22 @@ def locate(problem):
         if not slope < 0.0:  # singular J or no descent: steepest descent
             direction = -grad
             slope = -gnorm * gnorm
-        alpha = 1.0
+        alpha, step = 1.0, None
         while alpha > 1e-14:
             trial = evaluate(project_into_region(shape, xi + alpha * direction))
             if trial[0] < fval and trial[0] <= fval + cfg.armijo_c * alpha * slope:
+                step = trial
                 break
             if alpha == 1.0 and fval > tol and np.linalg.norm(
                 project_into_region(shape, xi - grad) - xi
             ) <= tol:
-                alpha = 0.0  # stationary on the boundary: the target lies outside
+                break  # stationary on the boundary: the target lies outside
             alpha *= cfg.backtrack_factor
-        else:
-            break  # no acceptable step remains
+        if step is None:
+            break  # stationary on the boundary, or no acceptable step remains
         if cfg.keep_history:
-            history.append((fval, trial[0], alpha, slope))
-        fval, jac, r, xi = trial
+            history.append((fval, step[0], alpha, slope))
+        fval, jac, r, xi = step
 
     gnorm = float(np.linalg.norm(jac.T @ r))
     residual = float(np.linalg.norm(r))

@@ -358,12 +358,12 @@ def collapse_batch(shape, xis):
     return np.clip(etas, -1.0, 1.0, out=etas)
 
 
-def jacobian_entries(shape, etas, eps_sing=SINGULAR_TOL):
+def jacobian_entries(shape, etas):
     """The nonzero entries of `jacobian` over an (M, d) array of cube points.
 
     Returns {(a, b): J[a, b]} with each entry an (M,) column, or None for the
     unit diagonal entry of an axis that does not collapse, and a boolean mask
-    of the points where some collapse denominator is below eps_sing; their
+    of the points where some collapse denominator is below SINGULAR_TOL; their
     entries are not finite, and callers refuse them.
     """
     spec = SHAPE_SPECS[shape]
@@ -374,28 +374,13 @@ def jacobian_entries(shape, etas, eps_sing=SINGULAR_TOL):
         den = 2.0
         for b in chain:
             den = den * (0.5 * (1.0 - etas[:, b]))
-        singular |= np.abs(den) < eps_sing
+        singular |= np.abs(den) < SINGULAR_TOL
         with np.errstate(divide="ignore", invalid="ignore"):
             entries[a, a] = 2.0 / den
             off = (1.0 + etas[:, a]) / den
         for b in chain:
             entries[a, b] = off
     return entries, singular
-
-
-def jacobian_batch(shape, etas, eps_sing=SINGULAR_TOL):
-    """Vectorized jacobian over an (M, d) array of cube points."""
-    entries, singular = jacobian_entries(shape, etas, eps_sing)
-    if singular.any():
-        m = int(np.argmax(singular))
-        raise SingularCollapseError(
-            f"collapse singular at batch point {m}, eta={np.asarray(etas)[m]}"
-        )
-    jac = np.tile(np.eye(dim_of(shape)), (len(singular), 1, 1))
-    for (a, b), column in entries.items():
-        if column is not None:
-            jac[:, a, b] = column
-    return jac
 
 
 def expand_batch(shape, etas):

@@ -21,7 +21,7 @@ from baryeval import (
 )
 from baryeval.fields import random_interior_point, singular_distance
 from baryeval.lagrange import _assemble_rows, cardinal_values, cardinal_values_and_derivatives
-from baryeval.shapes import (SINGULAR_TOL, centroid, collapse_batch, dim_of, jacobian_batch,
+from baryeval.shapes import (SINGULAR_TOL, centroid, collapse_batch, dim_of, jacobian,
                              spec_for)
 
 
@@ -159,7 +159,7 @@ def test_non_finite_point_refused(shape, bad):
 
 def _reference_deriv_rows(shape, basis, points):
     """The derivative rows assembled the long way: d cube-space matrices, then
-    the collapse Jacobian applied to the stack."""
+    the dense collapse Jacobian of every point applied to the stack."""
     etas = collapse_batch(shape, points)
     cards, dcards = zip(*(
         cardinal_values_and_derivatives(ax.nodes, etas[:, q])
@@ -170,7 +170,8 @@ def _reference_deriv_rows(shape, basis, points):
         _assemble_rows([dcards[i] if i == q else cards[i] for i in range(d)])
         for q in range(d)
     ])
-    return np.einsum("miq,imn->qmn", jacobian_batch(shape, etas), deta)
+    jac = np.array([jacobian(shape, eta) for eta in etas])
+    return np.einsum("miq,imn->qmn", jac, deta)
 
 
 def _batch(shape, rng, m=64):
