@@ -13,7 +13,8 @@ barycentric path.  The Jacobian is applied before the tensor product, on the
 rows of axes 2..d, through its nonzero entries only; one batched product
 with the axis-1 values and derivatives then writes the value row and the d
 derivative rows of every point once, into one C-contiguous (1 + d, M, N)
-array whose slices are the value matrix and the derivative stack.
+array, starting on a 64-byte boundary, whose slices are the value matrix and
+the derivative stack.
 """
 
 from __future__ import annotations

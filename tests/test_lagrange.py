@@ -216,6 +216,7 @@ def test_operator_matches_barycentric_path_at_high_order(shape, order):
         assert op.value_matrix.shape == (m, basis.size)
         assert op.deriv_matrices.shape == (d, m, basis.size)
         assert op.value_matrix.flags.c_contiguous and op.deriv_matrices.flags.c_contiguous
+        assert op.value_matrix.ctypes.data % 64 == 0
         values, grads = apply_operator(op, field)
         want = [ev.phys_evaluate(xi, gradient=True) for xi in points]
         want_values = np.array([w.value for w in want])
