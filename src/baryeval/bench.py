@@ -16,9 +16,10 @@ the algorithms rather than interpreter or array-dispatch overhead (the
 sampling grids are far too small for vectorized dispatch costs to be
 representative):
 
-* `bary` evaluates point by point through collapse and the per-axis
-  barycentric reductions (the stage-1 contraction of 2D/3D elements is one
-  matrix-vector product);
+* `bary` evaluates point by point through collapse and the kernel's
+  cardinal rows l and l' per axis: the rows of `kernel._axis_rows` contract
+  every line of a 2D/3D element in one product (stage 1), and `_float_rows`,
+  the same formula on Python floats, reduces the later axes and the 1D line;
 * `matrix_recomputed` rebuilds the cardinal value rows and cube-space
   derivative rows inside the timed sweep, O(n^2) float loops per point and
   axis, and applies them as matrix-vector products.
@@ -39,6 +40,7 @@ import io
 import time
 from dataclasses import dataclass
 from operator import mul as _mul
+from operator import truediv as _div
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from .element import (SNAP_TOL, ElementEvaluator, axis_kinds, basis_for_order, s
                       xi_grid)
 from .errors import InvalidInputError, ReportError
 from .fields import benchmark_field, random_interior_point
+from .kernel import _axis_rows
 from .lagrange import build_operator
 from .nodes import MAX_NODES, make_node_set
 from .shapes import Shape, _chain_rule, _collapse, dim_of, shape_from_name, spec_for
@@ -159,167 +162,152 @@ class _ScalarElement:
         self.line = self.field.tolist() if self.dim == 1 else None
 
 
+def _float_rows(z, w, e, deriv):
+    """`kernel._axis_rows` on Python floats, for one later axis or the 1D line.
+
+    Returns (k, g, rows).  If e lies within SNAP_TOL of node k, rows is empty:
+    the rows are e_k, D[k] and D2[k], so the caller takes entry k of a line or
+    dots the line with D[k] and D2[k].  Otherwise k is -1 and rows holds
+    t = w / x, then for deriv >= 1 l' / g and for deriv = 2 l'' / g, where
+    x = z - e and g = 1 / sum(t), so that l = g t.  Entry k of l' and l''
+    (k the nearest node) is minus the sum of the others.
+    """
+    x = [zj - e for zj in z]
+    dist = list(map(abs, x))
+    near = min(dist)
+    k = dist.index(near)
+    if near <= SNAP_TOL:
+        return k, 1.0, ()
+    t = list(map(_div, w, x))
+    g = 1.0 / sum(t)
+    if not deriv:
+        return -1, g, (t,)
+    # l' = l u with u = 1/x - s and s = sum(l / x), so l' / g = t / x - s t
+    tx = list(map(_div, t, x))
+    s = sum(tx) * g
+    l1 = [a - tj * s for a, tj in zip(tx, t)]
+    l1[k] = 0.0
+    l1[k] = -sum(l1)
+    if deriv == 1:
+        return -1, g, (t, l1)
+    # l'' = 2 l (u / x - sum(l' u)), so l'' / g = 2 (u t / x - t sum(l' u))
+    u = [1.0 / xj - s for xj in x]
+    c = sum(map(_mul, l1, u)) * g
+    l2 = [2.0 * (a * uj - tj * c) for a, tj, uj in zip(tx, t, u)]
+    l2[k] = 0.0
+    l2[k] = -sum(l2)
+    return -1, g, (t, l1, l2)
+
+
 class _BarySweep:
     """Per-point barycentric sweep: collapse, contract, chain rule.
 
-    In 2D and 3D the stage-1 contraction touches every field value once and
-    runs as a single matrix-vector product (the bulk primitive, mirroring the
-    matrix method's bulk apply); the remaining reductions over n2/n3
-    intermediate lines are scalar loops.  In 1D the one line of n values is
-    reduced by a scalar loop too, so the sweep counts arithmetic, not array
-    dispatch.
+    Every axis takes the kernel's cardinal rows.  In 2D and 3D the stage-1
+    contraction touches every field value once and runs as a single product
+    of the rows of `kernel._axis_rows` with all lines (the bulk primitive,
+    mirroring the matrix method's bulk apply); the remaining reductions over
+    n2/n3 intermediate lines are scalar loops over the rows of `_float_rows`.
+    In 1D the one line of n values is reduced by a scalar loop too, so the
+    sweep counts arithmetic, not array dispatch.
     """
 
     def __init__(self, evaluator, points, quantity):
         self.el = _ScalarElement(evaluator)
         self.pts = [tuple(map(float, p)) for p in np.atleast_2d(points)]
         self.quantity = quantity
-        basis = evaluator.basis
-        self.znp = [ax.nodes for ax in basis.axes]
-        self.wnp = [ax.weights for ax in basis.axes]
-        self.d1np = [ax.d1 for ax in basis.axes]
-        data = evaluator.field.data
-        n1 = basis.counts[0]
-        self.lines_np = data.reshape(len(data) // n1, n1)
+        self.axis1 = evaluator.basis.axes[0]
+        self.lines = evaluator.field.data.reshape(-1, self.axis1.n)
 
     def _stage1(self, e1, deriv):
-        """Contract all lines along the first axis; numpy vectors out."""
-        z, w = self.znp[0], self.wnp[0]
-        x = z - e1
-        j = int(np.argmin(np.abs(x)))
-        if -SNAP_TOL <= x[j] <= SNAP_TOL:
-            vals = self.lines_np[:, j]
-            ders = self.lines_np @ self.d1np[0][j] if deriv else None
-            return vals, ders
-        t1 = w / x
-        a = self.lines_np @ t1
-        f = t1.sum()
-        vals = a / f
-        ders = None
-        if deriv:
-            t2 = t1 / x
-            b = self.lines_np @ t2
-            c = t2.sum()
-            ders = (b * f - a * c) / (f * f)
-        return vals, ders
-
-    def _tables(self, axis, eta_q):
-        """Scalar inverse-difference tables for one later axis at one point."""
-        z, w = self.el.z[axis], self.el.w[axis]
-        best = 0
-        dist = abs(z[0] - eta_q)
-        for j in range(1, len(z)):
-            d = abs(z[j] - eta_q)
-            if d < dist:
-                best, dist = j, d
-        if dist <= SNAP_TOL:
-            return best, None, None, 0.0, 0.0
-        t1 = [wj / (zj - eta_q) for zj, wj in zip(z, w)]
-        t2 = [t / (zj - eta_q) for zj, t in zip(z, t1)]
-        sc = 1.0 / sum(t1)
-        csc = sum(t2) * sc
-        return -1, t1, t2, sc, csc
-
-    def _reduce_value(self, axis, line, tables):
-        j, t1, _, sc, _ = tables
-        if j >= 0:
-            return line[j]
-        return sum(map(_mul, line, t1)) * sc
-
-    def _reduce_deriv(self, axis, line, tables):
-        j, t1, t2, sc, csc = tables
-        if j >= 0:
-            return line[j], sum(map(_mul, line, self.el.d1rows[axis][j]))
-        v = sum(map(_mul, line, t1)) * sc
-        return v, sum(map(_mul, line, t2)) * sc - v * csc
+        """Values (and d/deta_1) of every line at e1, as float lists."""
+        rows, _ = _axis_rows(self.axis1, e1, deriv)
+        return (rows @ self.lines.T).tolist()
 
     def __call__(self):
         el = self.el
         q = self.quantity
-        deriv = q != Q_VALUE
+        deriv = 2 if q == Q_VALUE_D1_D2 else int(q != Q_VALUE)
         values = []
         grads = []
         d2s = []
         if el.dim == 1:
-            z, w, data = el.z[0], el.w[0], el.line
+            z, w, line = el.z[0], el.w[0], el.line
+            d1, d2 = el.d1rows[0], el.d2rows
             for (e1,) in self.pts:
-                x = [zj - e1 for zj in z]
-                dist = list(map(abs, x))
-                nearest = min(dist)
-                if nearest <= SNAP_TOL:
-                    j = dist.index(nearest)
-                    values.append(data[j])
+                k, g, rows = _float_rows(z, w, e1, deriv)
+                if k >= 0:
+                    values.append(line[k])
                     if deriv:
-                        grads.append((sum(map(_mul, el.d1rows[0][j], data)),))
-                    if q == Q_VALUE_D1_D2:
-                        d2s.append(sum(map(_mul, el.d2rows[j], data)))
+                        grads.append((sum(map(_mul, d1[k], line)),))
+                    if deriv > 1:
+                        d2s.append(sum(map(_mul, d2[k], line)))
                     continue
-                t1 = [wj / xj for wj, xj in zip(w, x)]
-                a = sum(map(_mul, t1, data))
-                f = sum(t1)
-                value = a / f
-                values.append(value)
-                if q == Q_VALUE_D1:
-                    t2 = [t / xj for t, xj in zip(t1, x)]
-                    b = sum(map(_mul, t2, data))
-                    c = sum(t2)
-                    grads.append(((b * f - a * c) / (f * f),))
-                elif q == Q_VALUE_D1_D2:  # the kernel's l' and l'' rows
-                    r = [1.0 / xj for xj in x]
-                    lv = [t / f for t in t1]
-                    s = sum(map(_mul, lv, r))
-                    u = [rj - s for rj in r]
-                    # entry k of each row is minus the sum of the others
-                    k = dist.index(nearest)
-                    l1 = list(map(_mul, lv, u))
-                    l1[k] = 0.0
-                    l1[k] = -sum(l1)
-                    m = sum(map(_mul, l1, u))
-                    l2 = [2.0 * lj * (uj * rj - m) for lj, uj, rj in zip(lv, u, r)]
-                    l2[k] = 0.0
-                    l2[k] = -sum(l2)
-                    grads.append((sum(map(_mul, l1, data)),))
-                    d2s.append(sum(map(_mul, l2, data)))
+                values.append(sum(map(_mul, rows[0], line)) * g)
+                if deriv:
+                    grads.append((sum(map(_mul, rows[1], line)) * g,))
+                if deriv > 1:
+                    d2s.append(sum(map(_mul, rows[2], line)) * g)
         elif el.dim == 2:
+            z, w, d1 = el.z[1], el.w[1], el.d1rows[1]
             for xi in self.pts:
                 eta = _collapse(el.spec, xi)
-                vals, ders = self._stage1(eta[0], deriv)
-                tab = self._tables(1, eta[1])
+                parts = self._stage1(eta[0], deriv)
+                vals = parts[0]
+                k, g, rows = _float_rows(z, w, eta[1], deriv)
                 if not deriv:
-                    values.append(self._reduce_value(1, vals.tolist(), tab))
+                    values.append(vals[k] if k >= 0 else sum(map(_mul, rows[0], vals)) * g)
                     continue
-                g1 = self._reduce_value(1, ders.tolist(), tab)
-                v, g2 = self._reduce_deriv(1, vals.tolist(), tab)
+                ders = parts[1]
+                if k >= 0:
+                    v, g1, g2 = vals[k], ders[k], sum(map(_mul, d1[k], vals))
+                else:
+                    t, l1 = rows
+                    v = sum(map(_mul, t, vals)) * g
+                    g1 = sum(map(_mul, t, ders)) * g
+                    g2 = sum(map(_mul, l1, vals)) * g
                 values.append(v)
                 grads.append(_chain_rule(el.spec, eta, (g1, g2)))
         else:
-            n2, n3 = el.counts[1], el.counts[2]
+            n2 = el.counts[1]
+            z2, w2, d12 = el.z[1], el.w[1], el.d1rows[1]
+            z3, w3, d13 = el.z[2], el.w[2], el.d1rows[2]
             for xi in self.pts:
                 eta = _collapse(el.spec, xi)
-                vals_np, ders_np = self._stage1(eta[0], deriv)
-                vals = vals_np.tolist()
-                tab2 = self._tables(1, eta[1])
-                tab3 = self._tables(2, eta[2])
+                parts = self._stage1(eta[0], deriv)
+                vals = parts[0]
+                starts = range(0, len(vals), n2)
+                k2, g2, rows2 = _float_rows(z2, w2, eta[1], deriv)
+                k3, g3, rows3 = _float_rows(z3, w3, eta[2], deriv)
                 if not deriv:
-                    v3 = [self._reduce_value(1, vals[k * n2:(k + 1) * n2], tab2)
-                          for k in range(n3)]
-                    values.append(self._reduce_value(2, v3, tab3))
+                    if k2 >= 0:
+                        v3 = vals[k2::n2]
+                    else:
+                        t = rows2[0]
+                        v3 = [sum(map(_mul, t, vals[i:i + n2])) * g2 for i in starts]
+                    values.append(v3[k3] if k3 >= 0 else sum(map(_mul, rows3[0], v3)) * g3)
                     continue
-                ders = ders_np.tolist()
-                v3 = []
-                da = []
-                db = []
-                for k in range(n3):
-                    sl = slice(k * n2, (k + 1) * n2)
-                    da.append(self._reduce_value(1, ders[sl], tab2))
-                    v, g = self._reduce_deriv(1, vals[sl], tab2)
-                    v3.append(v)
-                    db.append(g)
-                g1 = self._reduce_value(2, da, tab3)
-                g2 = self._reduce_value(2, db, tab3)
-                v, g3 = self._reduce_deriv(2, v3, tab3)
-                values.append(v)
-                grads.append(_chain_rule(el.spec, eta, (g1, g2, g3)))
+                ders = parts[1]
+                # each line of axis 2 gives its value, d/deta_1 and d/deta_2
+                if k2 >= 0:
+                    v3, da = vals[k2::n2], ders[k2::n2]
+                    row = d12[k2]
+                    db = [sum(map(_mul, row, vals[i:i + n2])) for i in starts]
+                else:
+                    t, l1 = rows2
+                    v3, da, db = [], [], []
+                    for i in starts:
+                        line = vals[i:i + n2]
+                        v3.append(sum(map(_mul, t, line)) * g2)
+                        da.append(sum(map(_mul, t, ders[i:i + n2])) * g2)
+                        db.append(sum(map(_mul, l1, line)) * g2)
+                if k3 >= 0:
+                    p = (v3[k3], da[k3], db[k3], sum(map(_mul, d13[k3], v3)))
+                else:
+                    t, l1 = rows3
+                    p = (sum(map(_mul, t, v3)) * g3, sum(map(_mul, t, da)) * g3,
+                         sum(map(_mul, t, db)) * g3, sum(map(_mul, l1, v3)) * g3)
+                values.append(p[0])
+                grads.append(_chain_rule(el.spec, eta, p[1:]))
         return (np.array(values),
                 np.array(grads) if grads else None,
                 np.array(d2s) if d2s else None)

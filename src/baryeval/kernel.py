@@ -16,7 +16,9 @@ collocated: the rows are the unit row e_k, D[k] and D2[k].  Every other
 query takes the one formula above.
 
 `tensor._contract` reduces the samples of any shape with these rows axis by
-axis; `bary_evaluate` applies them to one line of samples.
+axis; `bary_evaluate` applies them to one line of samples; the timed bench
+sweep takes them for its stage-1 product and builds the same rows on Python
+floats (`bench._float_rows`) for its later axes.
 """
 
 from __future__ import annotations
@@ -72,19 +74,6 @@ class EvalResult:
     value: float
     d1: np.ndarray | None = None
     d2: float | None = None
-
-
-def _collocated_index(nodes, eta):
-    """Index of the node collocated with eta, or -1; refuses NaN and +-inf.
-
-    Every evaluation entry point passes its query coordinates through here.
-    """
-    if not math.isfinite(eta):
-        raise InvalidInputError(f"query coordinate {eta} is not finite")
-    j = int(np.argmin(np.abs(nodes - eta)))
-    if abs(nodes[j] - eta) <= SNAP_TOL:
-        return j
-    return -1
 
 
 def _axis_rows(ax, e, deriv):

@@ -16,7 +16,7 @@ one becomes the next iterate.
 For a target outside the element f keeps a positive minimum on the
 boundary, where its gradient does not vanish.  When a unit step fails, the
 search therefore also stops, not converged, if the projected
-steepest-descent step P(xi - grad f) moves xi by at most grad_tol * scale
+steepest-descent step P(xi - grad f) moves xi by at most GRAD_TOL * scale
 while f is still above the convergence bound; a step that succeeds at once
 pays nothing for the test.
 """
@@ -32,26 +32,22 @@ from .errors import ConfigError, SingularCollapseError
 from .shapes import Shape, centroid, contains_point, spec_for
 
 
+# Stationarity tolerance (times max(1, |target|)), Armijo constant and
+# backtracking factor of the line search.
+GRAD_TOL = 1e-10
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+
+
 @dataclass(frozen=True)
 class LocateConfig:
     max_iters: int = 100
-    grad_tol: float = 1e-10
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
     init: np.ndarray = None
     keep_history: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be positive, got {self.max_iters}")
-        if self.grad_tol <= 0.0:
-            raise ConfigError(f"grad_tol must be positive, got {self.grad_tol}")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ConfigError(f"armijo_c must lie in (0, 1), got {self.armijo_c}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ConfigError(
-                f"backtrack_factor must lie in (0, 1), got {self.backtrack_factor}"
-            )
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,7 @@ def locate(problem):
     fval, jac, r, xi = evaluate(project_into_region(shape, xi))
     history = []
     iterations = 0
-    tol = cfg.grad_tol * scale
+    tol = GRAD_TOL * scale
 
     for _ in range(cfg.max_iters):
         grad = jac.T @ r
@@ -145,14 +141,14 @@ def locate(problem):
         alpha, step = 1.0, None
         while alpha > 1e-14:
             trial = evaluate(project_into_region(shape, xi + alpha * direction))
-            if trial[0] < fval and trial[0] <= fval + cfg.armijo_c * alpha * slope:
+            if trial[0] < fval and trial[0] <= fval + ARMIJO_C * alpha * slope:
                 step = trial
                 break
             if alpha == 1.0 and fval > tol and np.linalg.norm(
                 project_into_region(shape, xi - grad) - xi
             ) <= tol:
                 break  # stationary on the boundary: the target lies outside
-            alpha *= cfg.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
         if step is None:
             break  # stationary on the boundary, or no acceptable step remains
         if cfg.keep_history:

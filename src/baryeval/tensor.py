@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollocationError, InvalidInputError
-from .kernel import EvalResult, _axis_rows, _collocated_index, counters
+from .kernel import SNAP_TOL, EvalResult, _axis_rows, counters
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,11 @@ def multi_bary_direct(basis, fieldvalues, eta):
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if len(eta) != basis.dim:
         raise InvalidInputError(f"point has dim {len(eta)}, basis dim {basis.dim}")
+    if not np.isfinite(eta).all():
+        raise InvalidInputError(f"query point {eta} is not finite")
     per_axis = []
     for q, ax in enumerate(basis.axes):
-        if _collocated_index(ax.nodes, eta[q]) >= 0:
+        if np.abs(ax.nodes - eta[q]).min() <= SNAP_TOL:
             raise CollocationError(
                 f"coordinate {q + 1} of {eta} lies on a grid line"
             )

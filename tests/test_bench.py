@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from baryeval import (ALL_SHAPES, ElementEvaluator, InvalidInputError, ReportError, Shape,
-                      bary_evaluate, basis_for_order, sample_field)
+                      basis_for_order, sample_field)
 from baryeval.bench import (
     METHOD_BARY,
     METHOD_CACHED,
@@ -24,7 +24,7 @@ from baryeval.bench import (
     speedup_csv,
     speedup_report,
 )
-from baryeval.shapes import contains_point
+from baryeval.shapes import contains_point, expand
 
 
 def test_sampling_grids_are_64_points():
@@ -79,19 +79,38 @@ def test_segment_cell_with_seed_36():
     assert {r.quantity for r in records} == {Q_VALUE, Q_VALUE_D1, Q_VALUE_D1_D2}
 
 
+def test_tet_cell_with_seed_794364573():
+    # regression input: the bary p' of this cell's cross-check points was
+    # once 3.2e-10 off the per-point evaluator
+    records = run_bench(shapes=[Shape.TET], orders=[7], reps=1, seed=794364573)
+    assert {r.method for r in records} == set((METHOD_BARY, METHOD_CACHED,
+                                               METHOD_RECOMPUTED))
+
+
 def test_bary_sweep_second_derivative_next_to_a_node():
-    # the 1D float loop builds the kernel's l' and l'' rows; it must match
-    # bary_evaluate at offsets where entry k, computed directly, loses digits
-    basis = basis_for_order(Shape.SEGMENT, 12)
-    ev = ElementEvaluator(Shape.SEGMENT, basis, sample_field(
-        Shape.SEGMENT, basis, lambda xi: np.sin(3.0 * xi[0])))
-    ax = basis.axes[0]
-    pts = [[z + off] for z in ax.nodes[1:-1] for off in (1e-11, -1e-9, 1e-8, -1e-7, 1e-5)]
-    _, grads, d2s = _BarySweep(ev, pts, Q_VALUE_D1_D2)()
-    for (eta,), g, d2 in zip(pts, grads, d2s):
-        ref = bary_evaluate(ax, ev.field.data, eta, deriv=2)
-        assert abs(g[0] - ref.d1[0]) <= 1e-10 * max(1.0, abs(ref.d1[0]))
-        assert abs(d2 - ref.d2) <= 1e-10 * max(1.0, abs(ref.d2))
+    # every axis of the sweep takes the kernel's rows; at offsets where entry
+    # k of l' and l'', computed directly, loses digits, p' (and the 1D p'')
+    # must still match the per-point evaluator
+    cases = [(shape, Q_VALUE_D1) for shape in ALL_SHAPES] + [(Shape.SEGMENT, Q_VALUE_D1_D2)]
+    for shape, quantity in cases:
+        basis = basis_for_order(shape, 12)
+        ev = ElementEvaluator(shape, basis, sample_field(
+            shape, basis, lambda xi: np.sin(3.0 * np.sum(xi))))
+        interior = [ax.nodes[1:-1] for ax in basis.axes]
+        pts = [expand(shape, [nodes[(i + 5 * q) % len(nodes)] + off
+                              for q, nodes in enumerate(interior)])
+               for i in range(len(interior[0]))
+               for off in (1e-11, -1e-9, 1e-8, -1e-7, 1e-5)]
+        values, grads, d2s = _BarySweep(ev, pts, quantity)()
+        for i, xi in enumerate(pts):
+            if quantity == Q_VALUE_D1_D2:
+                ref = ev.phys_evaluate_1d(xi, deriv=2)
+                assert abs(d2s[i] - ref.d2) <= 1e-10 * max(1.0, abs(ref.d2))
+            else:
+                ref = ev.phys_evaluate(xi, gradient=True)
+            assert abs(values[i] - ref.value) <= 1e-12 * max(1.0, abs(ref.value))
+            scale = max(1.0, np.max(np.abs(ref.d1)))
+            assert np.max(np.abs(grads[i] - ref.d1)) <= 1e-10 * scale, (shape, xi)
 
 
 def test_direction_bary_beats_recomputed():
