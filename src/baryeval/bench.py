@@ -216,12 +216,8 @@ class _BarySweep:
         self.pts = [tuple(map(float, p)) for p in np.atleast_2d(points)]
         self.quantity = quantity
         self.axis1 = evaluator.basis.axes[0]
-        self.lines = evaluator.field.data.reshape(-1, self.axis1.n)
-
-    def _stage1(self, e1, deriv):
-        """Values (and d/deta_1) of every line at e1, as float lists."""
-        rows, _ = _axis_rows(self.axis1, e1, deriv)
-        return (rows @ self.lines.T).tolist()
+        # stage 1 applies the axis-1 rows to every line: rows @ lines.T
+        self.lines_t = evaluator.field.data.reshape(-1, self.axis1.n).T
 
     def __call__(self):
         el = self.el
@@ -251,7 +247,8 @@ class _BarySweep:
             z, w, d1 = el.z[1], el.w[1], el.d1rows[1]
             for xi in self.pts:
                 eta = _collapse(el.spec, xi)
-                parts = self._stage1(eta[0], deriv)
+                rows1, _ = _axis_rows(self.axis1, eta[0], deriv)
+                parts = (rows1 @ self.lines_t).tolist()
                 vals = parts[0]
                 k, g, rows = _float_rows(z, w, eta[1], deriv)
                 if not deriv:
@@ -273,7 +270,8 @@ class _BarySweep:
             z3, w3, d13 = el.z[2], el.w[2], el.d1rows[2]
             for xi in self.pts:
                 eta = _collapse(el.spec, xi)
-                parts = self._stage1(eta[0], deriv)
+                rows1, _ = _axis_rows(self.axis1, eta[0], deriv)
+                parts = (rows1 @ self.lines_t).tolist()
                 vals = parts[0]
                 starts = range(0, len(vals), n2)
                 k2, g2, rows2 = _float_rows(z2, w2, eta[1], deriv)
