@@ -47,7 +47,6 @@ from .lagrange import (
     apply_operator,
     build_operator,
     cardinal_values,
-    cardinal_values_and_derivatives,
 )
 from .nodes import (
     MAX_NODES,

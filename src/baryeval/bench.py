@@ -410,8 +410,8 @@ def _crosscheck(evaluator, points, sweeps, quantity):
                     )
 
 
-def _time_sweep(sweep, reps, warmup=2):
-    for _ in range(warmup):
+def _time_sweep(sweep, reps):
+    for _ in range(2):  # untimed warm-up calls
         sweep()
     times = np.empty(reps)
     was_enabled = gc.isenabled()
@@ -483,19 +483,19 @@ def run_bench(shapes=None, orders=None, reps=None, seed=0, methods=METHODS,
     return records
 
 
-def scaling_cells_1d(reps=150, runs=3):
+def scaling_cells_1d():
     """Sweep times for 11- and 41-node segments (orders 9 and 39), value only.
 
     Barycentric sweeps grow roughly linearly with the node count while the
     rebuilt-matrix sweeps grow quadratically; the returned ratios feed the
-    scaling-sanity checks.  Each cell takes the best of `runs` passes since
-    scheduling noise only ever inflates a timing.
+    scaling-sanity checks.  Each cell times 150 reps and takes the best of 3
+    passes since scheduling noise only ever inflates a timing.
     """
     out = {}
-    for _ in range(runs):
+    for _ in range(3):
         for order in (9, 39):
             recs = run_bench(
-                shapes=[Shape.SEGMENT], orders=[order], reps=reps,
+                shapes=[Shape.SEGMENT], orders=[order], reps=150,
                 methods=(METHOD_BARY, METHOD_RECOMPUTED), quantities=(Q_VALUE,),
                 crosscheck=False,
             )

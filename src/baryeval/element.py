@@ -28,11 +28,9 @@ import numpy as np
 from .errors import InvalidInputError, OutOfRegionError
 from .kernel import SNAP_TOL, EvalResult, bary_evaluate  # noqa: F401 (re-exported)
 from .nodes import NodeKind, make_node_set
-from .shapes import (Shape, _chain_rule, collapse_floats, contains_point, dim_of, expand_batch,
-                     spec_for)
+from .shapes import (REGION_TOL, Shape, _chain_rule, collapse_floats, contains_point, dim_of,
+                     expand_batch, spec_for)
 from .tensor import FieldValues, TensorBasis, _contract, eta_grid
-
-REGION_TOL = 1e-10
 
 
 def axis_kinds(shape):
@@ -120,7 +118,7 @@ class ElementEvaluator:
         Value-only queries succeed on singular faces through the degenerate
         collapse branch; gradient queries there raise SingularCollapseError.
         """
-        eta = collapse_floats(self.shape, xi, REGION_TOL)
+        eta = collapse_floats(self.shape, xi)
         parts, eta = _contract(self.basis, self._data, eta, gradient)
         grads = None
         if gradient:

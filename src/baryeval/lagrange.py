@@ -6,9 +6,10 @@ axes of the univariate cardinal values
     l_j(eta) = prod_{i != j} (eta - z_i) / (z_j - z_i)
 
 computed by the direct O(n^2) product formula at the collapsed coordinates of
-point m.  Derivative rows differentiate the product (sum-of-products via
-exclusive prefix/suffix products, still O(n^2) per point per axis) and are
-composed with the collapse Jacobian, mirroring the chain rule of the
+point m.  Derivative rows take l' = l D, D the axis's differentiation matrix
+(`NodeSet.d1`), also O(n^2): l'_j has degree n - 2, so it equals its own
+interpolant sum_i l_i(eta) D[i, j], and at a node the row is D[k] exactly.
+They are composed with the collapse Jacobian, mirroring the chain rule of the
 barycentric path.  The Jacobian is applied before the tensor product, on the
 rows of axes 2..d, through its nonzero entries only; one batched product
 with the axis-1 values and derivatives then writes the value row and the d
@@ -24,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, OutOfRegionError, SingularCollapseError
-from .shapes import collapse_batch, contains_batch, dim_of, jacobian_entries
-
-REGION_TOL = 1e-10
+from .shapes import REGION_TOL, collapse_batch, contains_batch, dim_of, jacobian_entries
 
 
 def cardinal_values(nodes, etas):
@@ -40,34 +39,6 @@ def cardinal_values(nodes, etas):
     idx = np.arange(n)
     ratios[:, idx, idx] = 1.0
     return ratios.prod(axis=2)
-
-
-def cardinal_values_and_derivatives(nodes, etas):
-    """Cardinal values and derivatives, each (M, n).
-
-    l'_j(eta) = sum_{m != j} [1/(z_j - z_m)] prod_{i != j, m} (eta - z_i)/(z_j - z_i),
-    assembled from exclusive prefix/suffix products so collocated etas are exact.
-    """
-    z = np.asarray(nodes, dtype=float)
-    etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    n = len(z)
-    delta = z[:, None] - z[None, :]
-    np.fill_diagonal(delta, 1.0)
-    inv_delta = 1.0 / delta
-    np.fill_diagonal(inv_delta, 0.0)
-    ratios = (etas[:, None, None] - z[None, None, :]) / delta[None, :, :]
-    idx = np.arange(n)
-    ratios[:, idx, idx] = 1.0
-
-    cum = np.cumprod(ratios, axis=2)
-    cards = cum[:, :, -1].copy()
-    pre = np.ones_like(ratios)
-    pre[:, :, 1:] = cum[:, :, :-1]
-    cum_rev = np.cumprod(ratios[:, :, ::-1], axis=2)[:, :, ::-1]
-    suf = np.ones_like(ratios)
-    suf[:, :, :-1] = cum_rev[:, :, 1:]
-    dcards = np.einsum("mji,ji->mj", pre * suf, inv_delta)
-    return cards, dcards
 
 
 @dataclass
@@ -161,11 +132,10 @@ def build_operator(shape, basis, points, want_derivs=False):
             f"point {m} at {points[m]} lies outside the {shape.value} reference region"
         )
     etas = collapse_batch(shape, points)
+    cards = [cardinal_values(ax.nodes, etas[:, q]) for q, ax in enumerate(basis.axes)]
 
     if not want_derivs:
-        cards = [cardinal_values(ax.nodes, etas[:, q]) for q, ax in enumerate(basis.axes)]
-        value_matrix = _assemble_rows(cards)
-        return InterpOperator(shape, basis, points, value_matrix, None)
+        return InterpOperator(shape, basis, points, _assemble_rows(cards), None)
 
     jac, singular = jacobian_entries(shape, etas)
     if singular.any():
@@ -174,10 +144,7 @@ def build_operator(shape, basis, points, want_derivs=False):
             f"point {m} at {points[m]} lies on a singular face of the {shape.value} "
             "collapse, where derivative rows are undefined"
         )
-    cards, dcards = zip(*(
-        cardinal_values_and_derivatives(ax.nodes, etas[:, q])
-        for q, ax in enumerate(basis.axes)
-    ))
+    dcards = [c @ ax.d1 for c, ax in zip(cards, basis.axes)]
     rows = _operator_rows(cards, dcards, jac)
     return InterpOperator(shape, basis, points, rows[0], rows[1:])
 

@@ -68,18 +68,18 @@ class LocateResult:
     history: list = field(default_factory=list)
 
 
-def project_into_region(shape, xi, max_passes=60):
+def project_into_region(shape, xi):
     """Cyclic projection onto the half-spaces of the reference region.
 
-    Cyclic projection converges slowly near sharp corners; any residual
-    violation is removed by shrinking toward the centroid (the region is
+    Cyclic projection converges slowly near sharp corners; a violation left
+    after 60 passes is removed by shrinking toward the centroid (the region is
     convex, so the segment to an interior point crosses the boundary once).
     """
     xi = np.array(xi, dtype=float)
     if contains_point(shape, xi, 1e-12):
         return xi
     constraints = [(np.asarray(a, dtype=float), b) for a, b in spec_for(shape).halfspaces]
-    for _ in range(max_passes):
+    for _ in range(60):
         for a, b in constraints:
             excess = a @ xi - b
             if excess > 0.0:

@@ -50,6 +50,8 @@ from .errors import InvalidInputError, OutOfRegionError, SingularCollapseError
 
 # A collapse denominator smaller than this is treated as singular.
 SINGULAR_TOL = 1e-12
+# How far outside its reference region a query point is still accepted.
+REGION_TOL = 1e-10
 
 
 class Shape(enum.Enum):
@@ -230,14 +232,14 @@ def _collapse(spec, x):
     return [-1.0 if e < -1.0 else 1.0 if e > 1.0 else e for e in eta]
 
 
-def _factors(spec, eta, eps_sing=SINGULAR_TOL):
+def _factors(spec, eta):
     """(a, C(a), J[a, a], J[a, b] for b in C(a)) per collapsed axis at eta."""
     out = []
     for a, chain, _ in spec.chains:
         den = 2.0
         for b in chain:
             den *= 0.5 * (1.0 - eta[b])
-        if abs(den) < eps_sing:
+        if abs(den) < SINGULAR_TOL:
             raise SingularCollapseError(f"collapse singular at eta={np.asarray(eta)}")
         out.append((a, chain, 2.0 / den, (1.0 + eta[a]) / den))
     return out
@@ -268,35 +270,35 @@ def contains_point(shape, xi, tol):
     return _inside(spec, _floats(spec, xi), tol)
 
 
-def collapse_floats(shape, xi, region_tol=1e-10):
+def collapse_floats(shape, xi):
     """`collapse` as a list of floats; refuses a point outside the region."""
     spec = SHAPE_SPECS[shape]
     x = _floats(spec, xi)
-    if not _inside(spec, x, region_tol):
+    if not _inside(spec, x, REGION_TOL):
         raise OutOfRegionError(
             f"{np.array(x)} lies outside the {shape.value} reference region"
         )
     return _collapse(spec, x)
 
 
-def collapse(shape, xi, region_tol=1e-10):
+def collapse(shape, xi):
     """Map a region point xi to cube coordinates eta (inverse of expand).
 
     On singular faces the collapsed coordinate degenerates to -1 and the
     remaining coordinates are kept.
     """
-    return np.array(collapse_floats(shape, xi, region_tol))
+    return np.array(collapse_floats(shape, xi))
 
 
-def jacobian(shape, eta, eps_sing=SINGULAR_TOL):
+def jacobian(shape, eta):
     """Jacobian d(eta_i)/d(xi_j) of the collapse map, expressed in eta.
 
     Well defined only away from singular faces (every collapse denominator at
-    least eps_sing in magnitude).
+    least SINGULAR_TOL in magnitude).
     """
     spec = SHAPE_SPECS[shape]
     jac = np.eye(spec.dim)
-    for a, chain, diag, off in _factors(spec, _floats(spec, eta), eps_sing):
+    for a, chain, diag, off in _factors(spec, _floats(spec, eta)):
         jac[a, a] = diag
         for b in chain:
             jac[a, b] = off

@@ -24,6 +24,9 @@ from .lagrange import apply_operator, build_operator
 from .shapes import ALL_SHAPES, dim_of
 
 ORDER_RANGE = (2, 20)
+# Error bounds of the checks, and the random monomials and points per cell.
+ORACLE_TOL, EXACTNESS_TOL, GRAD_ANALYTIC_TOL, GRAD_FD_TOL = 1e-11, 1e-10, 1e-10, 1e-6
+NUM_MONOMIALS = NUM_POINTS = 5
 
 
 @dataclass
@@ -39,7 +42,7 @@ def _rel_err(got, want):
     return abs(got - want) / max(1.0, abs(want))
 
 
-def check_oracle_equivalence(shape, order, tol=1e-11):
+def check_oracle_equivalence(shape, order):
     """Barycentric vs cached-matrix values on the sampling grid."""
     basis = basis_for_order(shape, order)
     fld = benchmark_field(dim_of(shape))
@@ -52,31 +55,31 @@ def check_oracle_equivalence(shape, order, tol=1e-11):
         _rel_err(ev.phys_evaluate(p).value, mv)
         for p, mv in zip(points, matrix_vals)
     )
-    return worst <= tol, f"max rel err {worst:.3e} (tol {tol:.0e})"
+    return worst <= ORACLE_TOL, f"max rel err {worst:.3e} (tol {ORACLE_TOL:.0e})"
 
 
-def check_exactness(shape, order, rng, tol=1e-10, num_monomials=5, num_points=5):
+def check_exactness(shape, order, rng):
     """Random exactness-set monomials reproduce analytic values."""
     basis = basis_for_order(shape, order)
     cap = order + 1  # per-axis degree capacity of an order-P basis
     worst = 0.0
-    for _ in range(num_monomials):
+    for _ in range(NUM_MONOMIALS):
         _, fld = random_exact_monomial(shape, cap, rng)
         ev = ElementEvaluator(shape, basis, sample_field(shape, basis, fld.eval))
-        for _ in range(num_points):
+        for _ in range(NUM_POINTS):
             xi = random_interior_point(shape, rng, margin=1e-3)
             worst = max(worst, _rel_err(ev.phys_evaluate(xi).value, fld.eval(xi)))
-    return worst <= tol, f"max rel err {worst:.3e} (tol {tol:.0e})"
+    return worst <= EXACTNESS_TOL, f"max rel err {worst:.3e} (tol {EXACTNESS_TOL:.0e})"
 
 
-def check_gradients(shape, order, rng, tol_analytic=1e-10, tol_fd=1e-6, num_points=5):
+def check_gradients(shape, order, rng):
     """Gradients of the quadratic field vs analytic and finite differences."""
     basis = basis_for_order(shape, order)
     fld = benchmark_field(dim_of(shape))
     ev = ElementEvaluator(shape, basis, sample_field(shape, basis, fld.eval))
     h = 1e-5
     worst_a = worst_fd = 0.0
-    for _ in range(num_points):
+    for _ in range(NUM_POINTS):
         xi = random_interior_point(shape, rng, margin=0.05, singular_margin=0.1)
         grad = ev.phys_evaluate(xi, gradient=True).d1
         worst_a = max(worst_a, float(np.max(np.abs(grad - fld.grad(xi)))))
@@ -85,7 +88,7 @@ def check_gradients(shape, order, rng, tol_analytic=1e-10, tol_fd=1e-6, num_poin
             step[q] = h
             fd = (fld.eval(xi + step) - fld.eval(xi - step)) / (2 * h)
             worst_fd = max(worst_fd, abs(grad[q] - fd))
-    ok = worst_a <= tol_analytic and worst_fd <= tol_fd
+    ok = worst_a <= GRAD_ANALYTIC_TOL and worst_fd <= GRAD_FD_TOL
     return ok, f"analytic err {worst_a:.3e}, fd err {worst_fd:.3e}"
 
 

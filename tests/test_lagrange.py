@@ -8,19 +8,23 @@ from baryeval import (
     ElementEvaluator,
     FieldValues,
     InvalidInputError,
+    NodeKind,
     OutOfRegionError,
     Shape,
     SingularCollapseError,
+    TensorBasis,
     apply_operator,
     basis_for_order,
     basis_for_shape,
     build_operator,
     benchmark_field,
+    make_node_set,
     sample_field,
     xi_grid,
 )
+from baryeval.bench import _scalar_cards_derivs
 from baryeval.fields import random_interior_point, singular_distance
-from baryeval.lagrange import _assemble_rows, cardinal_values, cardinal_values_and_derivatives
+from baryeval.lagrange import _assemble_rows, cardinal_values
 from baryeval.shapes import (SINGULAR_TOL, centroid, collapse_batch, dim_of, jacobian,
                              spec_for)
 
@@ -124,26 +128,31 @@ def test_apply_field_length_checked():
         apply_operator(op, FieldValues(np.zeros(4)))
 
 
-def test_cardinal_derivatives_consistent_with_fd():
-    nodes = basis_for_shape(Shape.SEGMENT, 7).axes[0].nodes
+def _segment_rows(ns, etas):
+    """Value and derivative rows of a segment operator on the node set ns."""
+    op = build_operator(Shape.SEGMENT, TensorBasis((ns,)), etas[:, None], want_derivs=True)
+    return op.value_matrix, op.deriv_matrices[0]
+
+
+@pytest.mark.parametrize("kind", list(NodeKind))
+def test_cardinal_derivatives_consistent_with_fd(kind):
+    ns = make_node_set(kind, 7)
     etas = np.array([-0.83, -0.11, 0.47, 0.92])
     h = 1e-6
-    cards, dcards = cardinal_values_and_derivatives(nodes, etas)
-    up = cardinal_values(nodes, etas + h)
-    dn = cardinal_values(nodes, etas - h)
+    cards, dcards = _segment_rows(ns, etas)
+    up = cardinal_values(ns.nodes, etas + h)
+    dn = cardinal_values(ns.nodes, etas - h)
     assert np.max(np.abs((up - dn) / (2 * h) - dcards)) <= 1e-6
-    assert np.max(np.abs(cards - cardinal_values(nodes, etas))) == 0.0
+    assert np.max(np.abs(cards - cardinal_values(ns.nodes, etas))) == 0.0
 
 
 def test_cardinal_derivatives_exact_at_nodes():
     # collocated queries must not divide by zero; rows reduce to the
     # differentiation matrix there
-    from baryeval import make_node_set, NodeKind
-
     ns = make_node_set(NodeKind.GAUSS_LOBATTO_LEGENDRE, 6)
-    cards, dcards = cardinal_values_and_derivatives(ns.nodes, ns.nodes)
+    cards, dcards = _segment_rows(ns, ns.nodes)
     assert np.allclose(cards, np.eye(6), atol=1e-14)
-    assert np.max(np.abs(dcards - ns.d1)) <= 1e-10
+    assert np.array_equal(dcards, ns.d1)
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
@@ -158,13 +167,14 @@ def test_non_finite_point_refused(shape, bad):
 
 
 def _reference_deriv_rows(shape, basis, points):
-    """The derivative rows assembled the long way: d cube-space matrices, then
-    the dense collapse Jacobian of every point applied to the stack."""
+    """The derivative rows assembled the long way: cardinal derivatives by the
+    float prefix/suffix products of the bench, d cube-space matrices, then the
+    dense collapse Jacobian of every point applied to the stack."""
     etas = collapse_batch(shape, points)
-    cards, dcards = zip(*(
-        cardinal_values_and_derivatives(ax.nodes, etas[:, q])
-        for q, ax in enumerate(basis.axes)
-    ))
+    per_axis = [[_scalar_cards_derivs(ax.nodes.tolist(), eta) for eta in etas[:, q].tolist()]
+                for q, ax in enumerate(basis.axes)]
+    cards = [np.array([c for c, _ in rows]) for rows in per_axis]
+    dcards = [np.array([dc for _, dc in rows]) for rows in per_axis]
     d = basis.dim
     deta = np.stack([
         _assemble_rows([dcards[i] if i == q else cards[i] for i in range(d)])
