@@ -10,16 +10,20 @@ Protocol per cell (shape, order, method, quantity):
 * the timed unit is one sweep evaluating all sampling points; sweeps are
   repeated `reps` times and mean/stddev of the sweep time are reported.
 
-The two sweeps that the speedup report compares are straight-line Python over
-plain floats, so the measured ratios track the arithmetic-operation counts of
-the algorithms rather than interpreter or array-dispatch overhead (the
-sampling grids are far too small for vectorized dispatch costs to be
-representative):
+The two sweeps that the speedup report compares run point by point, and
+each of their reductions is either one bulk product, where it touches many
+values, or Python over plain floats, where it touches one short line and
+array dispatch would cost more than the arithmetic.  The measured ratios
+therefore track the arithmetic-operation counts of the algorithms rather
+than interpreter or dispatch overhead (the sampling grids are far too small
+for vectorizing over the points to be representative):
 
 * `bary` evaluates point by point through collapse and the kernel's
-  cardinal rows l and l' per axis: the rows of `kernel._axis_rows` contract
-  every line of a 2D/3D element in one product (stage 1), and `_float_rows`,
-  the same formula on Python floats, reduces the later axes and the 1D line;
+  cardinal rows l and l' per axis.  Every axis but the last is one product
+  with the rows of `kernel._axis_rows`: stage 1 contracts every axis-1 line
+  of the N samples, and in 3D stage 2 contracts all N / n1 of its results
+  along axis 2.  The last line of n values (the only line in 1D) is reduced
+  with `_float_rows`, the same formula on Python floats;
 * `matrix_recomputed` rebuilds the cardinal value rows and cube-space
   derivative rows inside the timed sweep, O(n^2) float loops per point and
   axis, and applies them as matrix-vector products.
@@ -152,10 +156,10 @@ class _ScalarElement:
         self.spec = spec_for(evaluator.shape)
         basis = evaluator.basis
         self.dim = basis.dim
-        self.counts = basis.counts
         self.z = [ax.nodes.tolist() for ax in basis.axes]
-        self.w = [ax.weights.tolist() for ax in basis.axes]
-        self.d1rows = [ax.d1.tolist() for ax in basis.axes]
+        # the bary sweep reduces the last axis on floats with these
+        self.w = basis.axes[-1].weights.tolist()
+        self.d1rows = basis.axes[-1].d1.tolist()
         self.d2rows = basis.axes[0].d2.tolist()
         self.field = evaluator.field.data
         # the 1D sweep reads its one line of samples as floats
@@ -202,22 +206,22 @@ def _float_rows(z, w, e, deriv):
 class _BarySweep:
     """Per-point barycentric sweep: collapse, contract, chain rule.
 
-    Every axis takes the kernel's cardinal rows.  In 2D and 3D the stage-1
-    contraction touches every field value once and runs as a single product
-    of the rows of `kernel._axis_rows` with all lines (the bulk primitive,
-    mirroring the matrix method's bulk apply); the remaining reductions over
-    n2/n3 intermediate lines are scalar loops over the rows of `_float_rows`.
-    In 1D the one line of n values is reduced by a scalar loop too, so the
-    sweep counts arithmetic, not array dispatch.
+    Every axis takes the kernel's cardinal rows.  Every axis but the last is
+    one product with the rows of `kernel._axis_rows` (the bulk primitive,
+    mirroring the matrix method's bulk apply): stage 1 touches all N field
+    values, and the 3D stage 2 the N / n1 values stage 1 leaves, reducing
+    every axis-2 line at once.  The last line of n values, the only line in
+    1D, is reduced by scalar loops over the rows of `_float_rows`, where array
+    dispatch would cost more than the arithmetic.
     """
 
     def __init__(self, evaluator, points, quantity):
         self.el = _ScalarElement(evaluator)
         self.pts = [tuple(map(float, p)) for p in np.atleast_2d(points)]
         self.quantity = quantity
-        self.axis1 = evaluator.basis.axes[0]
+        self.axes = evaluator.basis.axes
         # stage 1 applies the axis-1 rows to every line: rows @ lines.T
-        self.lines_t = evaluator.field.data.reshape(-1, self.axis1.n).T
+        self.lines_t = evaluator.field.data.reshape(-1, self.axes[0].n).T
 
     def __call__(self):
         el = self.el
@@ -227,8 +231,8 @@ class _BarySweep:
         grads = []
         d2s = []
         if el.dim == 1:
-            z, w, line = el.z[0], el.w[0], el.line
-            d1, d2 = el.d1rows[0], el.d2rows
+            z, w, line = el.z[0], el.w, el.line
+            d1, d2 = el.d1rows, el.d2rows
             for (e1,) in self.pts:
                 k, g, rows = _float_rows(z, w, e1, deriv)
                 if k >= 0:
@@ -244,10 +248,11 @@ class _BarySweep:
                 if deriv > 1:
                     d2s.append(sum(map(_mul, rows[2], line)) * g)
         elif el.dim == 2:
-            z, w, d1 = el.z[1], el.w[1], el.d1rows[1]
+            ax1 = self.axes[0]
+            z, w, d1 = el.z[1], el.w, el.d1rows
             for xi in self.pts:
                 eta = _collapse(el.spec, xi)
-                rows1, _ = _axis_rows(self.axis1, eta[0], deriv)
+                rows1, _ = _axis_rows(ax1, eta[0], deriv)
                 parts = (rows1 @ self.lines_t).tolist()
                 vals = parts[0]
                 k, g, rows = _float_rows(z, w, eta[1], deriv)
@@ -265,45 +270,27 @@ class _BarySweep:
                 values.append(v)
                 grads.append(_chain_rule(el.spec, eta, (g1, g2)))
         else:
-            n2 = el.counts[1]
-            z2, w2, d12 = el.z[1], el.w[1], el.d1rows[1]
-            z3, w3, d13 = el.z[2], el.w[2], el.d1rows[2]
+            ax1, ax2, ax3 = self.axes
+            z, w, d1, n3 = el.z[2], el.w, el.d1rows, ax3.n
             for xi in self.pts:
                 eta = _collapse(el.spec, xi)
-                rows1, _ = _axis_rows(self.axis1, eta[0], deriv)
-                parts = (rows1 @ self.lines_t).tolist()
-                vals = parts[0]
-                starts = range(0, len(vals), n2)
-                k2, g2, rows2 = _float_rows(z2, w2, eta[1], deriv)
-                k3, g3, rows3 = _float_rows(z3, w3, eta[2], deriv)
+                rows1, _ = _axis_rows(ax1, eta[0], deriv)
+                rows2, _ = _axis_rows(ax2, eta[1], deriv)
+                # stage 2 reduces every axis-2 line of every stage-1 row at once
+                parts = (rows2 @ (rows1 @ self.lines_t).reshape(-1, ax2.n).T).tolist()
+                k, g, rows = _float_rows(z, w, eta[2], deriv)
                 if not deriv:
-                    if k2 >= 0:
-                        v3 = vals[k2::n2]
-                    else:
-                        t = rows2[0]
-                        v3 = [sum(map(_mul, t, vals[i:i + n2])) * g2 for i in starts]
-                    values.append(v3[k3] if k3 >= 0 else sum(map(_mul, rows3[0], v3)) * g3)
+                    v3 = parts[0]
+                    values.append(v3[k] if k >= 0 else sum(map(_mul, rows[0], v3)) * g)
                     continue
-                ders = parts[1]
-                # each line of axis 2 gives its value, d/deta_1 and d/deta_2
-                if k2 >= 0:
-                    v3, da = vals[k2::n2], ders[k2::n2]
-                    row = d12[k2]
-                    db = [sum(map(_mul, row, vals[i:i + n2])) for i in starts]
+                # row 0 holds the axis-3 lines of p and d/deta_1, row 1 d/deta_2
+                v3, da, db = parts[0][:n3], parts[0][n3:], parts[1][:n3]
+                if k >= 0:
+                    p = (v3[k], da[k], db[k], sum(map(_mul, d1[k], v3)))
                 else:
-                    t, l1 = rows2
-                    v3, da, db = [], [], []
-                    for i in starts:
-                        line = vals[i:i + n2]
-                        v3.append(sum(map(_mul, t, line)) * g2)
-                        da.append(sum(map(_mul, t, ders[i:i + n2])) * g2)
-                        db.append(sum(map(_mul, l1, line)) * g2)
-                if k3 >= 0:
-                    p = (v3[k3], da[k3], db[k3], sum(map(_mul, d13[k3], v3)))
-                else:
-                    t, l1 = rows3
-                    p = (sum(map(_mul, t, v3)) * g3, sum(map(_mul, t, da)) * g3,
-                         sum(map(_mul, t, db)) * g3, sum(map(_mul, l1, v3)) * g3)
+                    t, l1 = rows
+                    p = (sum(map(_mul, t, v3)) * g, sum(map(_mul, t, da)) * g,
+                         sum(map(_mul, t, db)) * g, sum(map(_mul, l1, v3)) * g)
                 values.append(p[0])
                 grads.append(_chain_rule(el.spec, eta, p[1:]))
         return (np.array(values),

@@ -17,8 +17,8 @@ query takes the one formula above.
 
 `tensor._contract` reduces the samples of any shape with these rows axis by
 axis; `bary_evaluate` applies them to one line of samples; the timed bench
-sweep takes them for its stage-1 product and builds the same rows on Python
-floats (`bench._float_rows`) for its later axes.
+sweep reduces every axis but the last with one product of these rows and
+builds the same rows on Python floats (`bench._float_rows`) for its last line.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from baryeval.bench import (
     Q_VALUE_D1_D2,
     BenchRecord,
     _BarySweep,
+    _crosscheck,
     csv_text,
     parse_orders,
     parse_shapes,
@@ -24,7 +25,8 @@ from baryeval.bench import (
     speedup_csv,
     speedup_report,
 )
-from baryeval.shapes import contains_point, expand
+from baryeval.kernel import SNAP_TOL
+from baryeval.shapes import collapse, contains_point, expand
 
 
 def test_sampling_grids_are_64_points():
@@ -111,6 +113,30 @@ def test_bary_sweep_second_derivative_next_to_a_node():
             assert abs(values[i] - ref.value) <= 1e-12 * max(1.0, abs(ref.value))
             scale = max(1.0, np.max(np.abs(ref.d1)))
             assert np.max(np.abs(grads[i] - ref.d1)) <= 1e-10 * scale, (shape, xi)
+
+
+@pytest.mark.parametrize("order", [3, 12])
+@pytest.mark.parametrize("shape", [Shape.HEX, Shape.PRISM, Shape.PYR, Shape.TET])
+def test_bary_sweep_collocated_on_one_axis(shape, order):
+    # each axis in turn sits on an interior node while the other two lie
+    # halfway between nodes, so every axis takes its collocated rows once
+    basis = basis_for_order(shape, order)
+    ev = ElementEvaluator(shape, basis, sample_field(
+        shape, basis, lambda xi: np.sin(2.0 * np.sum(xi)) + xi[0] ** 3))
+    nodes = [ax.nodes for ax in basis.axes]
+    mids = [0.5 * (z[1:-2] + z[2:-1]) for z in nodes]
+    for a in range(3):
+        pts = []
+        for i in range(1, len(nodes[a]) - 1):
+            eta = [z[i] if q == a else m[(i + 3 * q) % len(m)]
+                   for q, (z, m) in enumerate(zip(nodes, mids))]
+            pts.append(expand(shape, eta))
+        for xi in pts:
+            eta = collapse(shape, xi)
+            on_node = [np.min(np.abs(z - e)) <= SNAP_TOL for z, e in zip(nodes, eta)]
+            assert on_node == [q == a for q in range(3)]
+        for quantity in (Q_VALUE, Q_VALUE_D1):
+            _crosscheck(ev, pts, {METHOD_BARY: _BarySweep(ev, pts, quantity)}, quantity)
 
 
 def test_direction_bary_beats_recomputed():
