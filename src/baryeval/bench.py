@@ -12,18 +12,19 @@ Protocol per cell (shape, order, method, quantity):
 
 The two sweeps that the speedup report compares run point by point, and
 each of their reductions is either one bulk product, where it touches many
-values, or Python over plain floats, where it touches one short line and
+values, or Python over plain floats, where it touches a few short lines and
 array dispatch would cost more than the arithmetic.  The measured ratios
 therefore track the arithmetic-operation counts of the algorithms rather
 than interpreter or dispatch overhead (the sampling grids are far too small
 for vectorizing over the points to be representative):
 
-* `bary` evaluates point by point through collapse and the kernel's
-  cardinal rows l and l' per axis.  Every axis but the last is one product
-  with the rows of `kernel._axis_rows`: stage 1 contracts every axis-1 line
-  of the N samples, and in 3D stage 2 contracts all N / n1 of its results
-  along axis 2.  The last line of n values (the only line in 1D) is reduced
-  with `_float_rows`, the same formula on Python floats;
+* `bary` evaluates point by point through collapse and
+  `tensor._contract`, the contraction that `ElementEvaluator.phys_evaluate`
+  runs: every axis but the last is one product with the kernel's cardinal
+  rows l and l', and the last lines are reduced on Python floats.  A 1D
+  point reduces its one line with `kernel._reduce_lines`, p'' included.
+  Like the rebuilt-matrix sweep it skips the region test, which the sampling
+  points pass by construction;
 * `matrix_recomputed` rebuilds the cardinal value rows and cube-space
   derivative rows inside the timed sweep, O(n^2) float loops per point and
   axis, and applies them as matrix-vector products.
@@ -43,20 +44,17 @@ import gc
 import io
 import time
 from dataclasses import dataclass
-from operator import mul as _mul
-from operator import truediv as _div
 
 import numpy as np
 
-from .element import (SNAP_TOL, ElementEvaluator, axis_kinds, basis_for_order, sample_field,
-                      xi_grid)
+from .element import ElementEvaluator, axis_kinds, basis_for_order, sample_field, xi_grid
 from .errors import InvalidInputError, ReportError
 from .fields import benchmark_field, random_interior_point
-from .kernel import _axis_rows
+from .kernel import _reduce_lines
 from .lagrange import build_operator
 from .nodes import MAX_NODES, make_node_set
 from .shapes import Shape, _chain_rule, _collapse, dim_of, shape_from_name, spec_for
-from .tensor import TensorBasis
+from .tensor import TensorBasis, _contract
 
 METHOD_BARY = "bary"
 METHOD_CACHED = "matrix_cached"
@@ -150,152 +148,47 @@ def _scalar_cards_derivs(z, eta):
 
 
 class _ScalarElement:
-    """Element data unpacked to plain Python structures for the timing loops."""
+    """Element data unpacked to plain Python structures for the rebuilt-matrix sweep."""
 
     def __init__(self, evaluator):
         self.spec = spec_for(evaluator.shape)
         basis = evaluator.basis
         self.dim = basis.dim
         self.z = [ax.nodes.tolist() for ax in basis.axes]
-        # the bary sweep reduces the last axis on floats with these
-        self.w = basis.axes[-1].weights.tolist()
-        self.d1rows = basis.axes[-1].d1.tolist()
-        self.d2rows = basis.axes[0].d2.tolist()
         self.field = evaluator.field.data
-        # the 1D sweep reads its one line of samples as floats
-        self.line = self.field.tolist() if self.dim == 1 else None
-
-
-def _float_rows(z, w, e, deriv):
-    """`kernel._axis_rows` on Python floats, for one later axis or the 1D line.
-
-    Returns (k, g, rows).  If e lies within SNAP_TOL of node k, rows is empty:
-    the rows are e_k, D[k] and D2[k], so the caller takes entry k of a line or
-    dots the line with D[k] and D2[k].  Otherwise k is -1 and rows holds
-    t = w / x, then for deriv >= 1 l' / g and for deriv = 2 l'' / g, where
-    x = z - e and g = 1 / sum(t), so that l = g t.  Entry k of l' and l''
-    (k the nearest node) is minus the sum of the others.
-    """
-    x = [zj - e for zj in z]
-    dist = list(map(abs, x))
-    near = min(dist)
-    k = dist.index(near)
-    if near <= SNAP_TOL:
-        return k, 1.0, ()
-    t = list(map(_div, w, x))
-    g = 1.0 / sum(t)
-    if not deriv:
-        return -1, g, (t,)
-    # l' = l u with u = 1/x - s and s = sum(l / x), so l' / g = t / x - s t
-    tx = list(map(_div, t, x))
-    s = sum(tx) * g
-    l1 = [a - tj * s for a, tj in zip(tx, t)]
-    l1[k] = 0.0
-    l1[k] = -sum(l1)
-    if deriv == 1:
-        return -1, g, (t, l1)
-    # l'' = 2 l (u / x - sum(l' u)), so l'' / g = 2 (u t / x - t sum(l' u))
-    u = [1.0 / xj - s for xj in x]
-    c = sum(map(_mul, l1, u)) * g
-    l2 = [2.0 * (a * uj - tj * c) for a, tj, uj in zip(tx, t, u)]
-    l2[k] = 0.0
-    l2[k] = -sum(l2)
-    return -1, g, (t, l1, l2)
 
 
 class _BarySweep:
-    """Per-point barycentric sweep: collapse, contract, chain rule.
+    """Per-point barycentric sweep: collapse, `tensor._contract`, chain rule.
 
-    Every axis takes the kernel's cardinal rows.  Every axis but the last is
-    one product with the rows of `kernel._axis_rows` (the bulk primitive,
-    mirroring the matrix method's bulk apply): stage 1 touches all N field
-    values, and the 3D stage 2 the N / n1 values stage 1 leaves, reducing
-    every axis-2 line at once.  The last line of n values, the only line in
-    1D, is reduced by scalar loops over the rows of `_float_rows`, where array
-    dispatch would cost more than the arithmetic.
+    A 1D point reduces the one line of samples, held as floats, with
+    `kernel._reduce_lines`, which adds p'' to the same rows.
     """
 
     def __init__(self, evaluator, points, quantity):
-        self.el = _ScalarElement(evaluator)
+        self.spec = spec_for(evaluator.shape)
+        self.basis = evaluator.basis
+        self.data = evaluator.field.data
         self.pts = [tuple(map(float, p)) for p in np.atleast_2d(points)]
-        self.quantity = quantity
-        self.axes = evaluator.basis.axes
-        # stage 1 applies the axis-1 rows to every line: rows @ lines.T
-        self.lines_t = evaluator.field.data.reshape(-1, self.axes[0].n).T
+        self.deriv = 2 if quantity == Q_VALUE_D1_D2 else int(quantity != Q_VALUE)
 
     def __call__(self):
-        el = self.el
-        q = self.quantity
-        deriv = 2 if q == Q_VALUE_D1_D2 else int(q != Q_VALUE)
+        spec, basis, data, deriv = self.spec, self.basis, self.data, self.deriv
+        if basis.dim == 1:
+            ax, lines = basis.axes[0], [data.tolist()]
+            p = []
+            for (e,) in self.pts:
+                p += _reduce_lines(ax, e, deriv, lines)[0]
+            p = np.array(p).reshape(-1, 1 + deriv)
+            return p[:, 0], p[:, 1:2] if deriv else None, p[:, 2] if deriv > 1 else None
         values = []
         grads = []
-        d2s = []
-        if el.dim == 1:
-            z, w, line = el.z[0], el.w, el.line
-            d1, d2 = el.d1rows, el.d2rows
-            for (e1,) in self.pts:
-                k, g, rows = _float_rows(z, w, e1, deriv)
-                if k >= 0:
-                    values.append(line[k])
-                    if deriv:
-                        grads.append((sum(map(_mul, d1[k], line)),))
-                    if deriv > 1:
-                        d2s.append(sum(map(_mul, d2[k], line)))
-                    continue
-                values.append(sum(map(_mul, rows[0], line)) * g)
-                if deriv:
-                    grads.append((sum(map(_mul, rows[1], line)) * g,))
-                if deriv > 1:
-                    d2s.append(sum(map(_mul, rows[2], line)) * g)
-        elif el.dim == 2:
-            ax1 = self.axes[0]
-            z, w, d1 = el.z[1], el.w, el.d1rows
-            for xi in self.pts:
-                eta = _collapse(el.spec, xi)
-                rows1, _ = _axis_rows(ax1, eta[0], deriv)
-                parts = (rows1 @ self.lines_t).tolist()
-                vals = parts[0]
-                k, g, rows = _float_rows(z, w, eta[1], deriv)
-                if not deriv:
-                    values.append(vals[k] if k >= 0 else sum(map(_mul, rows[0], vals)) * g)
-                    continue
-                ders = parts[1]
-                if k >= 0:
-                    v, g1, g2 = vals[k], ders[k], sum(map(_mul, d1[k], vals))
-                else:
-                    t, l1 = rows
-                    v = sum(map(_mul, t, vals)) * g
-                    g1 = sum(map(_mul, t, ders)) * g
-                    g2 = sum(map(_mul, l1, vals)) * g
-                values.append(v)
-                grads.append(_chain_rule(el.spec, eta, (g1, g2)))
-        else:
-            ax1, ax2, ax3 = self.axes
-            z, w, d1, n3 = el.z[2], el.w, el.d1rows, ax3.n
-            for xi in self.pts:
-                eta = _collapse(el.spec, xi)
-                rows1, _ = _axis_rows(ax1, eta[0], deriv)
-                rows2, _ = _axis_rows(ax2, eta[1], deriv)
-                # stage 2 reduces every axis-2 line of every stage-1 row at once
-                parts = (rows2 @ (rows1 @ self.lines_t).reshape(-1, ax2.n).T).tolist()
-                k, g, rows = _float_rows(z, w, eta[2], deriv)
-                if not deriv:
-                    v3 = parts[0]
-                    values.append(v3[k] if k >= 0 else sum(map(_mul, rows[0], v3)) * g)
-                    continue
-                # row 0 holds the axis-3 lines of p and d/deta_1, row 1 d/deta_2
-                v3, da, db = parts[0][:n3], parts[0][n3:], parts[1][:n3]
-                if k >= 0:
-                    p = (v3[k], da[k], db[k], sum(map(_mul, d1[k], v3)))
-                else:
-                    t, l1 = rows
-                    p = (sum(map(_mul, t, v3)) * g, sum(map(_mul, t, da)) * g,
-                         sum(map(_mul, t, db)) * g, sum(map(_mul, l1, v3)) * g)
-                values.append(p[0])
-                grads.append(_chain_rule(el.spec, eta, p[1:]))
-        return (np.array(values),
-                np.array(grads) if grads else None,
-                np.array(d2s) if d2s else None)
+        for xi in self.pts:
+            p, eta = _contract(basis, data, _collapse(spec, xi), deriv)
+            values.append(p[0])
+            if deriv:
+                grads.append(_chain_rule(spec, eta, p[1:]))
+        return np.array(values), np.array(grads) if deriv else None, None
 
 
 def _tensor_row(per_axis):

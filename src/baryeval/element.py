@@ -3,8 +3,9 @@
 An ElementEvaluator owns a shape, a tensor basis and one field, or several
 fields, sampled on the shape's grid.  Evaluation collapses the query point to
 cube coordinates, contracts the samples of every field with one set of
-per-axis cardinal rows there (`kernel._axis_rows`, reduced by
-`tensor._contract`), and maps gradients back with the collapse Jacobian:
+per-axis cardinal rows there (`tensor._contract`, the one per-point
+contraction, which the timed bench sweep runs too), and maps gradients back
+with the collapse Jacobian:
 
     grad_xi p = J^T grad_eta p,    J[i, j] = d(eta_i)/d(xi_j).
 
@@ -12,8 +13,9 @@ Cube coordinates within SNAP_TOL (1e-12, the package's one collocation
 tolerance) of a basis node are snapped onto it while the rows are built, so
 such points take the collocated branch and the chain rule sees the snapped
 coordinates.  Segment second derivatives (`phys_evaluate_1d`) come from the
-same rows through `bary_evaluate`.  Several fields on one basis cost one
-contraction per point; `pointlocate` evaluates all d coordinate maps so.
+same rows through `bary_evaluate`.  The last axis of one field is reduced on
+Python floats.  Several fields on one basis cost one contraction per point,
+every axis a product; `pointlocate` evaluates all d coordinate maps so.
 
 Axes that appear as the `along` dimension of a collapse pair use Radau points
 anchored at -1 so that no grid node touches the singular value +1; all other
@@ -100,7 +102,7 @@ class ElementEvaluator:
         self.field = field
         self._single = single
         self._spec = spec_for(shape)
-        self._data = np.stack([f.data for f in fields])
+        self._data = field.data if single else np.stack([f.data for f in fields])
 
     @classmethod
     def for_order(cls, shape, order, func):
@@ -120,11 +122,12 @@ class ElementEvaluator:
         """
         eta = collapse_floats(self.shape, xi)
         parts, eta = _contract(self.basis, self._data, eta, gradient)
+        if self._single:
+            return EvalResult(parts[0], np.array(_chain_rule(self._spec, eta, parts[1:]))
+                              if gradient else None)
         grads = None
         if gradient:
             grads = np.array([_chain_rule(self._spec, eta, g) for g in parts[1:].T.tolist()])
-        if self._single:
-            return EvalResult(float(parts[0, 0]), None if grads is None else grads[0])
         return EvalResult(parts[0], grads)
 
     def phys_evaluate_1d(self, xi, deriv=0):

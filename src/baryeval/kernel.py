@@ -1,30 +1,38 @@
 """Univariate barycentric evaluation: the cardinal rows of one axis.
 
-Every value and derivative in the package comes from `_axis_rows`, which
-builds the cardinal rows l, l' and l'' of a node set at a coordinate in
-O(n).  With x_j = z_j - eta, l = (w / x) / sum(w / x) and u = 1/x - sum(l / x),
+Every value and derivative in the package comes from one formula for the
+cardinal rows l, l' and l'' of a node set at a coordinate, built in O(n).
+With x_j = z_j - eta, l = (w / x) / sum(w / x) and u = 1/x - sum(l / x),
 
     l'  = l u,     l'' = 2 l (u / x - sum(l u^2)).
 
-Entry k of l' and of l'' (k the nearest node) is taken as minus the sum of
-the others, since the rows of a partition of unity sum to zero; computed
-directly they lose digits like eps / |eta - z_k| and eps / |eta - z_k|^2.
-With t = w / x, f = sum t and the sums f' = sum_{j != k} t_j and
-c' = sum_{j != k} t_j / x_j, this is l'_k = t_k (f' / x_k - c') / f^2,
-which has no cancellation.  A query within SNAP_TOL of node k is
-collocated: the rows are the unit row e_k, D[k] and D2[k].  Every other
-query takes the one formula above.
+Computed directly, entry k of l' and of l'' (k the nearest node) loses
+digits like eps / |eta - z_k| and eps / |eta - z_k|^2.  With t = w / x,
+f = sum t and the sums f' = sum_{j != k} t_j and c' = sum_{j != k} t_j / x_j,
+entry k of l' is l'_k = t_k (f' / x_k - c') / f^2, which has no cancellation;
+entry k of l'' is minus the sum of the others, since the rows of a partition
+of unity sum to zero.  A query within SNAP_TOL of node k is collocated: the
+rows are the unit row e_k, D[k] and D2[k].  Every other query takes the one
+formula above.
 
-`tensor._contract` reduces the samples of any shape with these rows axis by
-axis; `bary_evaluate` applies them to one line of samples; the timed bench
-sweep reduces every axis but the last with one product of these rows and
-builds the same rows on Python floats (`bench._float_rows`) for its last line.
+The formula has two forms.  `_axis_rows` builds l and l' as a NumPy array,
+for an axis whose rows are applied to many lines in one product.
+`_float_rows` builds l, l' and l'' on Python floats, and `_reduce_lines`
+applies them to a few short lines, where array dispatch would cost more than
+the arithmetic.  `tensor._contract`, the one per-point contraction behind
+`ElementEvaluator.phys_evaluate` and the timed bench sweep, takes the first
+form for every axis but the last of one field (every axis of several
+fields) and the second for the last line of one field; `bary_evaluate`
+reduces its one line with the second.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import mul as _mul
+from operator import truediv as _div
 
 import numpy as np
 
@@ -76,75 +84,143 @@ class EvalResult:
     d2: float | None = None
 
 
+def _nearest(z, e):
+    """Index of the node of z (ascending floats) nearest e; the first of a tie."""
+    if not math.isfinite(e):
+        raise InvalidInputError(f"query coordinate {e} is not finite")
+    k = bisect_left(z, e)
+    if k == len(z) or (k and e - z[k - 1] <= z[k] - e):
+        k -= 1
+    return k
+
+
 def _axis_rows(ax, e, deriv):
     """Cardinal rows of one axis at coordinate e, and e snapped onto a node.
 
-    Returns l, [l; l'] or [l; l'; l''] for deriv = 0, 1 or 2 as a
-    (deriv + 1, n) array; see the module docstring for the formulas and the
+    Returns l as an (n,) array for deriv = 0, or [l; l'] as a (2, n) array
+    for deriv = 1; see the module docstring for the formulas and the
     collocated branch.  A collocated e becomes the node.
     """
-    if not math.isfinite(e):
-        raise InvalidInputError(f"query coordinate {e} is not finite")
-    x = ax.nodes - e
-    k = int(np.abs(x).argmin())
-    rows = np.zeros((deriv + 1, ax.n))
-    if abs(x.item(k)) <= SNAP_TOL:
+    z = ax.floats[0]
+    k = _nearest(z, e)
+    if abs(z[k] - e) <= SNAP_TOL:
+        rows = np.zeros((deriv + 1, ax.n))
         rows[0, k] = 1.0
         if deriv:
             rows[1] = ax.d1[k]
-        if deriv > 1:
-            rows[2] = ax.d2[k]
-        return rows, float(ax.nodes[k])
-    lv = rows[0]
-    np.divide(ax.weights, x, out=lv)
+        return rows if deriv else rows[0], z[k]
+    x = ax.nodes - e
     if not deriv:
-        lv *= 1.0 / np.add.reduce(lv)
+        lv = ax.weights / x
+        lv *= 1.0 / sum(lv.tolist())
         if counters.enabled:
             counters.divisions += ax.n + 1
-        return rows, e
+        return lv, e
     # l' = l u = (t / x - t s) / f with t = w / x, f = sum t, s = sum(t / x) / f;
-    # with t_k zeroed the one reduction gives f' and c', the sums over j != k
-    l1 = rows[1]
-    tk, xk = lv.item(k), x.item(k)
+    # with t_k zeroed the sums of the two rows are f' and c', the sums over j != k
+    rows = np.empty((2, ax.n))
+    lv, l1 = rows
+    np.divide(ax.weights, x, out=lv)
+    tk, xk = lv.item(k), z[k] - e
     lv[k] = 0.0
     np.divide(lv, x, out=l1)
-    f1, c1, *_ = np.add.reduce(rows, axis=1).tolist()  # an l'' row is still zero
+    f1, c1 = map(sum, rows.tolist())
     lv[k] = tk
     g = 1.0 / (f1 + tk)
     s = (c1 + tk / xk) * g
     l1 -= lv * s
     rows *= g
     l1[k] = tk * (f1 / xk - c1) * g * g
-    if deriv > 1:
-        r = 1.0 / x
-        u = r - s
-        l2 = rows[2]
-        np.multiply(lv, u * r - l1 @ u, out=l2)
-        l2 *= 2.0
-        l2[k] = 0.0
-        l2[k] = -l2.sum()
     if counters.enabled:
-        counters.divisions += (3 if deriv > 1 else 2) * ax.n + 3
+        counters.divisions += 2 * ax.n + 3
     return rows, e
+
+
+def _float_rows(z, w, e, deriv):
+    """The cardinal rows on Python floats, for nodes z and weights w at e.
+
+    Returns (k, g, rows) with k the nearest node.  If e lies within SNAP_TOL
+    of node k, rows is empty: the rows are e_k, D[k] and D2[k].  Otherwise
+    rows holds t = w / x, then for deriv >= 1 l' / g and for deriv = 2
+    l'' / g, where x = z - e and g = 1 / sum(t), so that l = g t.
+    """
+    k = _nearest(z, e)
+    x = [zj - e for zj in z]
+    if abs(x[k]) <= SNAP_TOL:
+        return k, 1.0, ()
+    n = len(z)
+    t = list(map(_div, w, x))
+    if not deriv:
+        if counters.enabled:
+            counters.divisions += n + 1
+        return k, 1.0 / sum(t), (t,)
+    # l' / g = t / x - s t with s = sum(t / x) g; entry k is t_k (f' / x_k - c') g
+    # from f' and c', the sums of t and t / x over j != k
+    tx = list(map(_div, t, x))
+    tk, txk = t[k], tx[k]
+    t[k] = tx[k] = 0.0
+    f1, c1 = sum(t), sum(tx)
+    t[k], tx[k] = tk, txk
+    g = 1.0 / (f1 + tk)
+    s = (c1 + txk) * g
+    l1 = [a - tj * s for a, tj in zip(tx, t)]
+    l1[k] = tk * (f1 / x[k] - c1) * g
+    if deriv == 1:
+        if counters.enabled:
+            counters.divisions += 2 * n + 3
+        return k, g, (t, l1)
+    # l'' = 2 l (u / x - sum(l' u)), so l'' / g = 2 (u t / x - t sum(l' u))
+    u = [1.0 / xj - s for xj in x]
+    c = sum(map(_mul, l1, u)) * g
+    l2 = [2.0 * (a * uj - tj * c) for a, tj, uj in zip(tx, t, u)]
+    l2[k] = 0.0
+    l2[k] = -sum(l2)
+    if counters.enabled:
+        counters.divisions += 3 * n + 3
+    return k, g, (t, l1, l2)
+
+
+def _reduce_lines(ax, e, deriv, lines):
+    """Reduce float lines of samples along axis ax at e, on Python floats.
+
+    `lines` is a list of n-long float lists.  Returns every line reduced with
+    l, followed by lines[0] reduced with l' for deriv >= 1 and with l'' for
+    deriv = 2, as one list; and e, snapped onto its node when collocated.
+    """
+    z, w = ax.floats
+    k, g, rows = _float_rows(z, w, e, deriv)
+    if counters.enabled:
+        counters.kernel_calls += len(lines)
+        counters.per_call_nodes.extend([ax.n] * len(lines))
+    out = []
+    if not rows:
+        for line in lines:
+            out.append(line[k])
+        # one NumPy dot per row, so that a collocated query returns D[k] @ v
+        # and D2[k] @ v to the bit
+        for d in (ax.d1, ax.d2)[:deriv]:
+            out.append(float(d[k] @ lines[0]))
+        return out, z[k]
+    t = rows[0]
+    for line in lines:
+        out.append(sum(map(_mul, t, line)) * g)
+    for r in rows[1:]:
+        out.append(sum(map(_mul, r, lines[0])) * g)
+    return out, e
 
 
 def bary_evaluate(nodeset, values, eta, deriv=0):
     """Evaluate the interpolant of `values` at eta, with derivatives up to `deriv`.
 
     deriv = 0 returns the value only, 1 adds the first derivative, 2 adds the
-    second.  All requested quantities come from one set of cardinal rows.
+    second.  All requested quantities come from one set of cardinal rows,
+    applied on floats by `_reduce_lines`.
     """
     if deriv not in (0, 1, 2):
         raise InvalidInputError(f"derivative order must be 0, 1 or 2, got {deriv}")
     v = np.asarray(values, dtype=float)
     if len(v) != nodeset.n:
         raise InvalidInputError(f"expected {nodeset.n} values, got {len(v)}")
-    rows, _ = _axis_rows(nodeset, eta, deriv)
-    if counters.enabled:
-        counters.kernel_calls += 1
-        counters.per_call_nodes.append(nodeset.n)
-    # One dot per row, so that a collocated query returns D[j] @ v and
-    # D2[j] @ v to the bit; a stacked product may differ in the last ulp.
-    p = [float(row @ v) for row in rows]
+    p, _ = _reduce_lines(nodeset, float(eta), deriv, [v.tolist()])
     return EvalResult(p[0], np.array(p[1:2]) if deriv else None,
                       p[2] if deriv > 1 else None)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -165,6 +166,11 @@ class NodeSet:
     @property
     def n(self):
         return len(self.nodes)
+
+    @cached_property
+    def floats(self):
+        """nodes and weights as Python float lists, built on first use."""
+        return self.nodes.tolist(), self.weights.tolist()
 
     def __post_init__(self):
         for arr in (self.nodes, self.weights, self.d1, self.d2):

@@ -2,9 +2,10 @@
 contraction, plus the direct multivariate barycentric form used as a slow oracle.
 
 Field samples are stored flat with the dimension-1 index running fastest: the
-line for fixed (j2, j3) starts at offset (j3*n2 + j2)*n1.  The contraction
-reduces them with the per-axis cardinal rows of `kernel._axis_rows`, the one
-univariate formula of the package.
+line for fixed (j2, j3) starts at offset (j3*n2 + j2)*n1.  `_contract` reduces
+them with the per-axis cardinal rows of the kernel, the one univariate formula
+of the package.  It is the one per-point contraction: `tensor_evaluate`,
+`ElementEvaluator.phys_evaluate` and the timed bench sweep all run it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollocationError, InvalidInputError
-from .kernel import SNAP_TOL, EvalResult, _axis_rows, counters
+from .kernel import SNAP_TOL, EvalResult, _axis_rows, _reduce_lines, counters
 
 
 @dataclass(frozen=True)
@@ -78,47 +79,60 @@ def _check_field(basis, fieldvalues):
 
 
 def _contract(basis, data, eta, gradient):
-    """Values, and with `gradient` cube-space gradients, of F fields at eta.
+    """Values, and with `gradient` cube-space gradients, of one or F fields at eta.
 
-    data is (F, N), one field per row in field ordering.  The contraction
-    runs one axis at a time, dimension 1 first, over the parts held so far
-    (value, d/deta_1, ..., d/deta_{q-1} of every field, stacked in that
-    order): every part is reduced with l, and the value part alone also with
-    l', which appends d/deta_q.  Returns the (P, F) parts (P = 1, or 1 + d
-    with gradients) and eta as a list with the coordinates within SNAP_TOL of
-    a node snapped onto it.
+    data is one field, (N,), or F fields, (F, N), one per row, in field
+    ordering.  The contraction runs one axis at a time, dimension 1 first,
+    over the parts held so far (value, d/deta_1, ..., d/deta_{q-1} of every
+    field, stacked in that order): every part is reduced with l, and the value
+    part alone also with l', which appends d/deta_q.  Every axis but the last
+    is one product with the rows of `kernel._axis_rows` over all lines.  On
+    the last axis one field leaves one short line, or d with gradients, which
+    `kernel._reduce_lines` reduces on Python floats; F fields leave F times
+    as many lines, and the last axis stays a product.
+
+    Returns the parts, a list of P floats for one field or a (P, F) array for
+    F fields (P = 1, or 1 + d with gradients), and eta as a list with the
+    coordinates within SNAP_TOL of a node snapped onto it.
     """
-    parts = data.ravel()
+    parts = data
     eta = list(eta)
-    for q, ax in enumerate(basis.axes):
-        rows, eta[q] = _axis_rows(ax, eta[q], int(gradient))
+    deriv = int(gradient)
+    one = data.ndim == 1
+    for q, ax in enumerate(basis.axes[:-1] if one else basis.axes):
+        rows, eta[q] = _axis_rows(ax, eta[q], deriv)
         lines = parts.reshape(-1, ax.n)
         if counters.enabled:
             counters.kernel_calls += len(lines)
             counters.per_call_nodes.extend([ax.n] * len(lines))
-        # Row r of `out` is rows[r] applied to every line, so the l-reduced
-        # parts followed by the l'-reduced value part are a prefix of it.
-        out = (rows @ lines.T).ravel()
-        parts = out[:len(lines) + len(lines) // (q + 1)] if gradient else out
-    return parts.reshape(-1, len(data)), eta
+        # Row r of `parts` is rows[r] applied to every line, so the l-reduced
+        # parts followed by the l'-reduced value part are a prefix of it (all
+        # of it on axis 1).
+        parts = rows @ lines.T
+        if gradient and q:
+            parts = parts.ravel()[:len(lines) + len(lines) // (q + 1)]
+    if not one:
+        return parts.reshape(-1, len(data)), eta
+    last = basis.axes[-1]
+    parts, eta[-1] = _reduce_lines(last, eta[-1], deriv, parts.reshape(-1, last.n).tolist())
+    return parts, eta
 
 
 def tensor_evaluate(basis, fieldvalues, eta, gradient=False):
     """Evaluate the tensor interpolant (and its gradient) at one point.
 
-    Per axis q the cardinal rows l (value) and l' (derivative) come from
-    `kernel._axis_rows` in O(n_q), and the samples are contracted with them
-    dimension 1 first.  One kernel reduction is one line-row product: with
-    gradients this takes n2 + 2 reductions in 2D and n2*n3 + 2*n3 + 3 in 3D
-    (value only: n2 + 1 and n2*n3 + n3 + 1).
+    Per axis q the cardinal rows l (value) and l' (derivative) are built in
+    O(n_q), and the samples are contracted with them dimension 1 first.  One
+    kernel reduction is one line-row product: with gradients this takes
+    n2 + 2 reductions in 2D and n2*n3 + 2*n3 + 3 in 3D (value only: n2 + 1
+    and n2*n3 + n3 + 1).
     """
     _check_field(basis, fieldvalues)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if len(eta) != basis.dim:
         raise InvalidInputError(f"point has dim {len(eta)}, basis dim {basis.dim}")
-    parts, _ = _contract(basis, fieldvalues.data[None], eta, gradient)
-    value = float(parts[0, 0])
-    return EvalResult(value, parts[1:, 0]) if gradient else EvalResult(value)
+    parts, _ = _contract(basis, fieldvalues.data, eta.tolist(), gradient)
+    return EvalResult(parts[0], np.array(parts[1:])) if gradient else EvalResult(parts[0])
 
 
 def multi_bary_direct(basis, fieldvalues, eta):

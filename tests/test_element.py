@@ -23,7 +23,7 @@ from baryeval.fields import (
     random_interior_point,
     singular_distance,
 )
-from baryeval.kernel import counters
+from baryeval.kernel import SNAP_TOL, counters
 from baryeval.shapes import SHAPE_SPECS, SINGULAR_TOL, centroid, collapse, dim_of, expand
 from baryeval.tensor import TensorBasis
 
@@ -294,6 +294,49 @@ def test_row_path_against_exact_polynomials(shape):
                 assert abs(res.value[f] - one.value) <= 1e-13 * max(1.0, abs(one.value))
                 assert np.max(np.abs(res.d1[f] - one.d1)) <= 1e-13 * max(
                     1.0, np.max(np.abs(one.d1)))
+
+
+def _collocated_on_one_axis(shape, basis, rng):
+    """Cube points on an interior node of axis a and between nodes elsewhere, each a."""
+    nodes = [ax.nodes for ax in basis.axes]
+    mids = [0.5 * (z[1:-2] + z[2:-1]) if len(z) > 3 else 0.5 * (z[:-1] + z[1:])
+            for z in nodes]
+    pts = []
+    for a in range(basis.dim):
+        for _ in range(4):
+            eta = [z[rng.integers(1, len(z) - 1)] if q == a else m[rng.integers(len(m))]
+                   for q, (z, m) in enumerate(zip(nodes, mids))]
+            xi = expand(shape, eta)
+            on_node = [np.min(np.abs(z - e)) <= SNAP_TOL
+                       for z, e in zip(nodes, collapse(shape, xi))]
+            assert on_node == [q == a for q in range(basis.dim)]
+            pts.append(xi)
+    return pts
+
+
+@pytest.mark.parametrize("order", [3, 12])
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_one_field_agrees_with_a_field_tuple(shape, order):
+    # One field reduces its last line on Python floats, a tuple of fields
+    # with one more product of the same rows: values and gradients agree.
+    rng = np.random.default_rng(order)
+    basis = basis_for_order(shape, order)
+    fields = tuple(sample_field(shape, basis, lambda xi, c=c: np.sin(c + 2.0 * np.sum(xi))
+                                + c * xi[-1] ** 3) for c in range(3))
+    multi = ElementEvaluator(shape, basis, fields)
+    singles = [ElementEvaluator(shape, basis, f) for f in fields]
+    kinds = _row_path_points(shape, basis, rng)
+    pts = (kinds["scattered"] + kinds["snapped"] + kinds["near_node"]
+           + _collocated_on_one_axis(shape, basis, rng))
+    for xi in pts:
+        for gradient in (False, True):
+            res = multi.phys_evaluate(xi, gradient=gradient)
+            for f, ev in enumerate(singles):
+                one = ev.phys_evaluate(xi, gradient=gradient)
+                assert abs(one.value - res.value[f]) <= 1e-13 * max(1.0, abs(res.value[f]))
+                if gradient:
+                    scale = max(1.0, np.max(np.abs(res.d1[f])))
+                    assert np.max(np.abs(one.d1 - res.d1[f])) <= 1e-13 * scale, xi
 
 
 def test_snapped_coordinates_reach_the_chain_rule():

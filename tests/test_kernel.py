@@ -17,7 +17,7 @@ from baryeval import (
     tensor_evaluate,
 )
 from baryeval.fields import horner_derivative_coeffs, horner_eval
-from baryeval.kernel import SNAP_TOL, counters
+from baryeval.kernel import SNAP_TOL, _axis_rows, _float_rows, counters
 
 ALL_KINDS = list(NodeKind)
 
@@ -149,39 +149,88 @@ def _entry_points(ns, vals):
                                                            gradient=True)}
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-@pytest.mark.parametrize("n", [5, 12, 21])
-def test_derivatives_next_to_a_node(kind, n):
+def _check_derivatives_next_to_a_node(ns, coeffs):
     # offsets from 1e-15 to 1e-3 on both sides of every node, through every
     # 1D entry point (tensor_evaluate gives p' only); the rows take one
-    # formula at every offset above SNAP_TOL
-    rng = np.random.default_rng(7 * n)
-    ns = make_node_set(kind, n)
-    coeffs = rng.uniform(-1, 1, size=n)
+    # formula at every offset above SNAP_TOL.  The bound is that of the
+    # property test below: 1e-9 |p^(k)|, the rounding floor of the rows at the
+    # node and, within SNAP_TOL, the collocated branch's error h |p^(k+1)|
     d1c = horner_derivative_coeffs(coeffs)
     d2c = horner_derivative_coeffs(d1c)
+    d3c = horner_derivative_coeffs(d2c)
     vals = [horner_eval(coeffs, z) for z in ns.nodes]
+    floors = [np.abs(dk) @ np.abs(vals) for dk in (ns.d1, ns.d2)]
     offsets = [s * 10.0**-e for e in range(3, 16) for s in (1.0, -1.0)]
     offsets += [s * 1e-8 * f for f in (0.999, 1.001) for s in (1.0, -1.0)]
     for entry, evaluate in _entry_points(ns, vals).items():
-        for z in ns.nodes:
+        for i, z in enumerate(ns.nodes):
+            floor1, floor2 = 1e-14 * floors[0][i], 1e-14 * floors[1][i]
             for off in offsets:
                 eta = z + off
                 if abs(eta) > 1.0:
                     continue
                 res = evaluate(eta)
-                want1 = horner_eval(d1c, eta)
-                want2 = horner_eval(d2c, eta)
-                assert abs(res.d1[0] - want1) <= 1e-9 * max(1.0, abs(want1)), (entry, z, off)
+                h = abs(eta - z)
+                snap = h if h <= SNAP_TOL else 0.0
+                want1, want2, want3 = (horner_eval(c, eta) for c in (d1c, d2c, d3c))
+                tol1 = 1e-9 * max(1.0, abs(want1)) + floor1 + snap * abs(want2)
+                tol2 = 1e-9 * max(1.0, abs(want2)) + floor2 + snap * abs(want3)
+                assert abs(res.d1[0] - want1) <= tol1, (entry, z, off)
                 if res.d2 is not None:
-                    assert abs(res.d2 - want2) <= 1e-9 * max(1.0, abs(want2)), (entry, z, off)
+                    assert abs(res.d2 - want2) <= tol2, (entry, z, off)
+            # continuity across 1e-8: two floors, plus the change of p^(k)
+            # itself over the step, |step| |p^(k+1)|
             for s in (1.0, -1.0):
                 if abs(z + s * 1e-8) > 1.0:
                     continue
-                below, above = (evaluate(z + s * 1e-8 * f) for f in (0.999, 1.001))
-                assert abs(below.d1[0] - above.d1[0]) <= 1e-9 * max(1.0, abs(above.d1[0]))
+                etas = [z + s * 1e-8 * f for f in (0.999, 1.001)]
+                below, above = (evaluate(eta) for eta in etas)
+                step = abs(etas[1] - etas[0])
+                want2, want3 = (horner_eval(c, etas[1]) for c in (d2c, d3c))
+                assert abs(below.d1[0] - above.d1[0]) <= \
+                    1e-9 * max(1.0, abs(above.d1[0])) + 2.0 * floor1 + step * abs(want2)
                 if below.d2 is not None:
-                    assert abs(below.d2 - above.d2) <= 1e-9 * max(1.0, abs(above.d2))
+                    assert abs(below.d2 - above.d2) <= \
+                        1e-9 * max(1.0, abs(above.d2)) + 2.0 * floor2 + step * abs(want3)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [5, 12, 21])
+def test_derivatives_next_to_a_node(kind, n):
+    coeffs = np.random.default_rng(7 * n).uniform(-1, 1, size=n)
+    _check_derivatives_next_to_a_node(make_node_set(kind, n), coeffs)
+
+
+def test_derivatives_next_to_a_node_seed_876():
+    # regression input: on 21 equispaced nodes this polynomial's p'' next to
+    # the end nodes lies above 1e-9 |p''| but within the rounding floor
+    coeffs = np.random.default_rng(876).uniform(-1, 1, size=21)
+    _check_derivatives_next_to_a_node(make_node_set(NodeKind.EQUISPACED, 21), coeffs)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_float_rows_match_axis_rows(kind):
+    # the two forms of the one row formula, l and l', on the offset grid of
+    # the tests above: entry k of l' takes the cancellation-free form in both
+    for n in (5, 12, 21):
+        ns = make_node_set(kind, n)
+        z, w = ns.floats
+        offsets = [s * 10.0**-e for e in range(3, 16) for s in (1.0, -1.0)]
+        for node in ns.nodes:
+            for off in offsets:
+                eta = float(node + off)
+                if abs(eta) > 1.0:
+                    continue
+                want, snapped = _axis_rows(ns, eta, 1)
+                k, g, rows = _float_rows(z, w, eta, 1)
+                if not rows:
+                    assert snapped == z[k]
+                    assert np.array_equal(want[0], np.eye(n)[k])
+                    continue
+                assert snapped == eta
+                got = g * np.array(rows)
+                scale = np.abs(want).max(axis=1, keepdims=True)
+                assert np.all(np.abs(got - want) <= 1e-13 * scale), (n, node, off)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
