@@ -85,7 +85,10 @@ class EvalResult:
 
 
 def _nearest(z, e):
-    """Index of the node of z (ascending floats) nearest e; the first of a tie."""
+    """Index of the node of z (ascending floats) nearest e, the first of a tie.
+
+    A non-finite e is refused with InvalidInputError.
+    """
     if not math.isfinite(e):
         raise InvalidInputError(f"query coordinate {e} is not finite")
     k = bisect_left(z, e)
