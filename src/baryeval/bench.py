@@ -147,17 +147,6 @@ def _scalar_cards_derivs(z, eta):
     return cards, dcards
 
 
-class _ScalarElement:
-    """Element data unpacked to plain Python structures for the rebuilt-matrix sweep."""
-
-    def __init__(self, evaluator):
-        self.spec = spec_for(evaluator.shape)
-        basis = evaluator.basis
-        self.dim = basis.dim
-        self.z = [ax.nodes.tolist() for ax in basis.axes]
-        self.field = evaluator.field.data
-
-
 class _BarySweep:
     """Per-point barycentric sweep: collapse, `tensor._contract`, chain rule.
 
@@ -230,29 +219,32 @@ class _RebuiltSweep:
 
     def __init__(self, evaluator, points, quantity):
         self.evaluator = evaluator
-        self.el = _ScalarElement(evaluator)
+        self.spec = spec_for(evaluator.shape)
+        self.dim = evaluator.basis.dim
+        self.z = [ax.nodes.tolist() for ax in evaluator.basis.axes]
+        self.field = evaluator.field.data
         self.pts = [tuple(map(float, p)) for p in np.atleast_2d(points)]
         self.quantity = quantity
 
     def __call__(self):
-        el = self.el
-        etas = [_collapse(el.spec, xi) for xi in self.pts]
+        spec, z, field = self.spec, self.z, self.field
+        etas = [_collapse(spec, xi) for xi in self.pts]
         if self.quantity == Q_VALUE:
-            rows = [_tensor_row(list(map(_scalar_cards, el.z, eta))) for eta in etas]
-            return np.asarray(rows) @ el.field, None, None
+            rows = [_tensor_row(list(map(_scalar_cards, z, eta))) for eta in etas]
+            return np.asarray(rows) @ field, None, None
         value_rows = []
-        deriv_rows = [[] for _ in range(el.dim)]
+        deriv_rows = [[] for _ in range(self.dim)]
         for eta in etas:
-            cards, dcards = zip(*map(_scalar_cards_derivs, el.z, eta))
+            cards, dcards = zip(*map(_scalar_cards_derivs, z, eta))
             value_rows.append(_tensor_row(cards))
             for a, rows in enumerate(deriv_rows):
                 rows.append(_tensor_row(cards[:a] + dcards[a:a + 1] + cards[a + 1:]))
         value_matrix = np.asarray(value_rows)
-        geta = (np.asarray(deriv_rows) @ el.field).T.tolist()
-        grads = np.array([_chain_rule(el.spec, eta, g) for eta, g in zip(etas, geta)])
+        geta = (np.asarray(deriv_rows) @ field).T.tolist()
+        grads = np.array([_chain_rule(spec, eta, g) for eta, g in zip(etas, geta)])
         d2s = (_d2_values(value_matrix, self.evaluator)
                if self.quantity == Q_VALUE_D1_D2 else None)
-        return value_matrix @ el.field, grads, d2s
+        return value_matrix @ field, grads, d2s
 
 
 _SWEEPS = {METHOD_BARY: _BarySweep, METHOD_CACHED: _CachedSweep,

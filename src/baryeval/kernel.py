@@ -15,15 +15,18 @@ of unity sum to zero.  A query within SNAP_TOL of node k is collocated: the
 rows are the unit row e_k, D[k] and D2[k].  Every other query takes the one
 formula above.
 
-The formula has two forms.  `_axis_rows` builds l and l' as a NumPy array,
-for an axis whose rows are applied to many lines in one product.
-`_float_rows` builds l, l' and l'' on Python floats, and `_reduce_lines`
-applies them to a few short lines, where array dispatch would cost more than
-the arithmetic.  `tensor._contract`, the one per-point contraction behind
-`ElementEvaluator.phys_evaluate` and the timed bench sweep, takes the first
-form for every axis but the last of one field (every axis of several
-fields) and the second for the last line of one field; `bary_evaluate`
-reduces its one line with the second.
+`_float_rows` is the one implementation: it builds l, l' and l'' on Python
+floats, and `_reduce_lines` applies them to a few short lines, where array
+dispatch would cost more than the arithmetic.  `_axis_rows` returns the rows
+of one axis as a NumPy array, for an axis whose rows are applied to many
+lines in one product: [l; l'] as the rows of `_float_rows` times g, and l
+alone as the NumPy quotient (w / x) / sum(w / x), the same arithmetic as
+g t, which at high order costs less than turning float rows into an array.
+`tensor._contract`, the one per-point contraction behind
+`ElementEvaluator.phys_evaluate` and the timed bench sweep, takes the array
+for every axis but the last of one field (every axis of several fields) and
+reduces the last line of one field with `_reduce_lines`; `bary_evaluate`
+reduces its one line with `_reduce_lines`.
 """
 
 from __future__ import annotations
@@ -101,42 +104,28 @@ def _axis_rows(ax, e, deriv):
     """Cardinal rows of one axis at coordinate e, and e snapped onto a node.
 
     Returns l as an (n,) array for deriv = 0, or [l; l'] as a (2, n) array
-    for deriv = 1; see the module docstring for the formulas and the
-    collocated branch.  A collocated e becomes the node.
+    for deriv = 1.  l is the NumPy quotient (w / x) / sum(w / x); [l; l'] is
+    g times the rows of `_float_rows`, so l' has one source.  A collocated e
+    becomes the node, with the rows e_k and D[k].
     """
-    z = ax.floats[0]
-    k = _nearest(z, e)
-    if abs(z[k] - e) <= SNAP_TOL:
-        rows = np.zeros((deriv + 1, ax.n))
-        rows[0, k] = 1.0
-        if deriv:
-            rows[1] = ax.d1[k]
-        return rows if deriv else rows[0], z[k]
-    x = ax.nodes - e
-    if not deriv:
-        lv = ax.weights / x
-        lv *= 1.0 / sum(lv.tolist())
-        if counters.enabled:
-            counters.divisions += ax.n + 1
-        return lv, e
-    # l' = l u = (t / x - t s) / f with t = w / x, f = sum t, s = sum(t / x) / f;
-    # with t_k zeroed the sums of the two rows are f' and c', the sums over j != k
-    rows = np.empty((2, ax.n))
-    lv, l1 = rows
-    np.divide(ax.weights, x, out=lv)
-    tk, xk = lv.item(k), z[k] - e
-    lv[k] = 0.0
-    np.divide(lv, x, out=l1)
-    f1, c1 = map(sum, rows.tolist())
-    lv[k] = tk
-    g = 1.0 / (f1 + tk)
-    s = (c1 + tk / xk) * g
-    l1 -= lv * s
-    rows *= g
-    l1[k] = tk * (f1 / xk - c1) * g * g
-    if counters.enabled:
-        counters.divisions += 2 * ax.n + 3
-    return rows, e
+    z, w = ax.floats
+    if deriv:
+        k, g, rows = _float_rows(z, w, e, 1)
+        if rows:
+            return g * np.array(rows), e
+    else:
+        k = _nearest(z, e)
+        if abs(z[k] - e) > SNAP_TOL:
+            lv = ax.weights / (ax.nodes - e)
+            lv *= 1.0 / sum(lv.tolist())
+            if counters.enabled:
+                counters.divisions += ax.n + 1
+            return lv, e
+    rows = np.zeros((deriv + 1, ax.n))
+    rows[0, k] = 1.0
+    if deriv:
+        rows[1] = ax.d1[k]
+    return rows if deriv else rows[0], z[k]
 
 
 def _float_rows(z, w, e, deriv):

@@ -141,17 +141,27 @@ def test_nodes_reproduce_stored_values_exactly(kind, n):
 
 
 def _entry_points(ns, vals):
-    """The 1D entry points as eta -> EvalResult; tensor_evaluate gives no p''."""
+    """The entry points as eta -> EvalResult; tensor_evaluate gives no p''.
+
+    The 1D ones reduce their one line with `kernel._reduce_lines`.  The 2D
+    one holds the samples constant along a second axis (GLL, 4 nodes), so
+    axis 1, the line of eta, is a product axis: its l' is the array that
+    `kernel._axis_rows` builds, and d1[0] is p'(eta).
+    """
     ev = ElementEvaluator(Shape.SEGMENT, TensorBasis((ns,)), FieldValues(vals))
+    basis2 = TensorBasis((ns, make_node_set(NodeKind.GAUSS_LOBATTO_LEGENDRE, 4)))
+    field2 = FieldValues(np.tile(vals, 4))
     return {"bary_evaluate": lambda eta: bary_evaluate(ns, vals, eta, deriv=2),
             "phys_evaluate_1d": lambda eta: ev.phys_evaluate_1d(eta, deriv=2),
             "tensor_evaluate": lambda eta: tensor_evaluate(ev.basis, ev.field, [eta],
-                                                           gradient=True)}
+                                                           gradient=True),
+            "tensor_evaluate_2d": lambda eta: tensor_evaluate(basis2, field2, [eta, 0.3],
+                                                              gradient=True)}
 
 
 def _check_derivatives_next_to_a_node(ns, coeffs):
     # offsets from 1e-15 to 1e-3 on both sides of every node, through every
-    # 1D entry point (tensor_evaluate gives p' only); the rows take one
+    # entry point (tensor_evaluate gives p' only); the rows take one
     # formula at every offset above SNAP_TOL.  The bound is that of the
     # property test below: 1e-9 |p^(k)|, the rounding floor of the rows at the
     # node and, within SNAP_TOL, the collocated branch's error h |p^(k+1)|
@@ -244,7 +254,7 @@ def test_float_rows_match_axis_rows(kind):
 )
 def test_derivatives_next_to_a_node_property(kind, n, node, exponent, sign, seed):
     # the offset scan above as a property: any offset 1e-15..1e-3 from any
-    # node, against Horner, through every 1D entry point.  The bound adds to
+    # node, against Horner, through every entry point.  The bound adds to
     # 1e-9 |p^(k)| the rounding floor of the rows at the node, eps-scaled
     # sum_j |D_k[i, j] y_j| (near the ends of an equispaced set it lies far
     # above 1e-9 |p^(k)|), and, within SNAP_TOL, the collocated branch's
