@@ -103,7 +103,7 @@ def quantities_for(dim):
 
 
 # ---------------------------------------------------------------------------
-# Scalar building blocks shared by the timed sweeps.
+# Scalar building blocks of the rebuilt-matrix sweep.
 # ---------------------------------------------------------------------------
 
 
