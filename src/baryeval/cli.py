@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .element import basis_for_order, sample_field
-from .errors import BaryevalError, InvalidInputError
+from .errors import BaryevalError
 from .pointlocate import LocateConfig, LocateProblem, locate
 from .shapes import dim_of, shape_from_name
 from .verify import run_verify
@@ -101,10 +101,6 @@ def _cmd_locate(args):
     shape = shape_from_name(args.shape)
     d = dim_of(shape)
     target = np.array([float(part) for part in args.target.split(",")])
-    if len(target) != d:
-        raise InvalidInputError(
-            f"target has {len(target)} coordinates, {shape.value} needs {d}"
-        )
     basis = basis_for_order(shape, args.order)
     coord_fields = tuple(
         sample_field(shape, basis, lambda xi, q=q: float(xi[q])) for q in range(d)

@@ -38,9 +38,8 @@ from .tensor import FieldValues, TensorBasis, _contract, eta_grid
 def axis_kinds(shape):
     """Node family per axis: Radau on collapsed `along` axes, GLL elsewhere."""
     spec = spec_for(shape)
-    along = {b for _, b in spec.duffy_pairs}
     return tuple(
-        NodeKind.GAUSS_RADAU_MINUS if q in along else NodeKind.GAUSS_LOBATTO_LEGENDRE
+        NodeKind.GAUSS_RADAU_MINUS if q in spec.along else NodeKind.GAUSS_LOBATTO_LEGENDRE
         for q in range(1, spec.dim + 1)
     )
 
@@ -90,8 +89,7 @@ class ElementEvaluator:
                 raise InvalidInputError(
                     f"field has {len(f)} values, grid has {basis.size}"
                 )
-        along = {b for _, b in spec_for(shape).duffy_pairs}
-        for q in along:
+        for q in spec_for(shape).along:
             if basis.axes[q - 1].nodes[-1] >= 1.0:
                 raise InvalidInputError(
                     f"axis {q} of a {shape.value} basis must exclude +1 "

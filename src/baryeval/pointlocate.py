@@ -8,17 +8,18 @@ them by one evaluator in one contraction per point.  The problem is square
 J = dX/dxi, so the search takes the Gauss-Newton direction -J^{-1} r, falling
 back to steepest descent -J^T r where J is singular or the direction does not
 descend.  Step lengths backtrack from a unit step under the Armijo rule,
-and a trial point is accepted only if it lowers f; trial points leaving the
-reference region are projected back onto the violated constraints.  Each
-trial point is evaluated once, value and Jacobian together, and the accepted
-one becomes the next iterate.
+and a trial point is accepted only if it lowers f; one outside the reference
+region is replaced by its Euclidean projection P (`project_into_region`).
+Each trial point is evaluated once, value and Jacobian together, and the
+accepted one becomes the next iterate.
 
 For a target outside the element f keeps a positive minimum on the
 boundary, where its gradient does not vanish.  When a unit step fails, the
 search therefore also stops, not converged, if the projected
-steepest-descent step P(xi - grad f) moves xi by at most GRAD_TOL * scale
-while f is still above the convergence bound; a step that succeeds at once
-pays nothing for the test.
+steepest-descent step P(xi - grad f) moves xi by at most GRAD_TOL times
+max(1, |target|) while f is still above the convergence bound (the
+projected-gradient test, which needs P to be the Euclidean projection); a
+step that succeeds at once pays nothing for the test.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .element import ElementEvaluator
-from .errors import ConfigError, SingularCollapseError
-from .shapes import Shape, centroid, contains_point, spec_for
+from .errors import ConfigError, InvalidInputError, SingularCollapseError
+from .shapes import Shape, centroid, contains_point, dim_of, spec_for
 
 
 # Stationarity tolerance (times max(1, |target|)), Armijo constant and
@@ -69,60 +70,54 @@ class LocateResult:
 
 
 def project_into_region(shape, xi):
-    """Cyclic projection onto the half-spaces of the reference region.
+    """The Euclidean projection p of xi onto the reference region.
 
-    Cyclic projection converges slowly near sharp corners; a violation left
-    after 60 passes is removed by shrinking toward the centroid (the region is
-    convex, so the segment to an interior point crosses the boundary once).
+    A point within 1e-12 of the region is returned as it is.  Otherwise p lies
+    in the relative interior of a face cut out by at most d independent tight
+    half-spaces S, so p = P_S xi + q_S is a candidate of `ShapeSpec.faces`;
+    feasible candidates are region points, none nearer than p, so the nearest
+    is p.  A point that is not finite is refused.
     """
     xi = np.array(xi, dtype=float)
     if contains_point(shape, xi, 1e-12):
         return xi
-    constraints = [(np.asarray(a, dtype=float), b) for a, b in spec_for(shape).halfspaces]
-    for _ in range(60):
-        for a, b in constraints:
-            excess = a @ xi - b
-            if excess > 0.0:
-                xi -= excess * a / (a @ a)
-        if contains_point(shape, xi, 1e-12):
-            return xi
-    mid = centroid(shape)
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        t = 0.5 * (lo + hi)
-        if contains_point(shape, mid + t * (xi - mid), 1e-12):
-            lo = t
-        else:
-            hi = t
-    return mid + lo * (xi - mid)
+    if not np.isfinite(xi).all():
+        raise InvalidInputError(f"cannot project the non-finite point {xi}")
+    (maps, shifts), (a, b) = spec_for(shape).faces, spec_for(shape).planes
+    cands = (maps @ xi).reshape(shifts.shape) + shifts
+    feasible = (cands @ a.T <= b + 1e-12).all(axis=1)
+    return cands[np.where(feasible, ((cands - xi) ** 2).sum(axis=1), np.inf).argmin()]
+
+
+def _coordinates(shape, value, what):
+    """value as d finite floats; anything else is refused."""
+    x, d = np.array(value, dtype=float), dim_of(shape)
+    if x.shape != (d,) or not np.isfinite(x).all():
+        raise InvalidInputError(f"{what} must be {d} finite coordinates, got {x}")
+    return x
 
 
 def locate(problem):
     """Run the projected Gauss-Newton search; see module docstring."""
     shape = problem.shape
     cfg = problem.config
-    target = np.asarray(problem.target, dtype=float)
+    target = _coordinates(shape, problem.target, "target")
     coords = ElementEvaluator(shape, problem.basis, tuple(problem.coord_fields))
-    scale = max(1.0, float(np.linalg.norm(target)))
     mid = centroid(shape)
 
     def evaluate(xi):
-        for attempt in range(2):
-            try:
-                res = coords.phys_evaluate(xi, gradient=True)
-                break
-            except SingularCollapseError:
-                if attempt:
-                    raise
-                xi = xi + 1e-9 * (mid - xi)  # step off the singular face
+        try:
+            res = coords.phys_evaluate(xi, gradient=True)
+        except SingularCollapseError:
+            xi = xi + 1e-9 * (mid - xi)  # step off the singular face
+            res = coords.phys_evaluate(xi, gradient=True)
         r = res.value - target
         return 0.5 * float(r @ r), res.d1, r, xi  # res.d1 rows are grad X_i
 
-    xi = np.array(cfg.init if cfg.init is not None else mid, dtype=float)
+    xi = mid if cfg.init is None else _coordinates(shape, cfg.init, "init")
     fval, jac, r, xi = evaluate(project_into_region(shape, xi))
-    history = []
-    iterations = 0
-    tol = GRAD_TOL * scale
+    history, iterations = [], 0
+    tol = GRAD_TOL * max(1.0, float(np.linalg.norm(target)))
 
     for _ in range(cfg.max_iters):
         grad = jac.T @ r

@@ -29,6 +29,11 @@ from the chains, with all other coordinates passed through unchanged:
     xi_a    = (1 + eta_a) prod_{b in C(a)} (1 - eta_b)/2 - 1
     J[a, a] = 2 / D_a,   J[a, b] = (1 + eta_a) / D_a for b in C(a)
 
+`ShapeSpec` derives the rest: the chains, g(q) = {q} | {a : q in C(a)}, the
+`along` dimensions b (Radau axes), the half-spaces as sparse rows and as
+arrays (A, b), the vertex average, and for every set S of at most d rows the
+projection x -> P_S x + q_S onto A_S x = b_S (`pointlocate`'s face table).
+
 Collapse clamps every eta into [-1, 1]: a point admitted by a region
 tolerance but outside the region would otherwise map far outside the cube
 next to a collapsed vertex, where D_a is tiny, and evaluation would
@@ -42,6 +47,7 @@ NumPy columns for batches.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,54 +75,70 @@ class ShapeSpec:
     shape: Shape
     dim: int
     duffy_pairs: tuple        # ((a, b), ...) collapse pairs, a collapses along b
-    ancestor_sets: tuple      # g(1), ..., g(d) as frozensets of dimensions
     vertices: tuple           # corner points of the reference region
     halfspaces: tuple         # ((a, b), ...): the region is a.xi <= b for each row
-    # Derived, 0-based: ((a, C(a), 2 - |C(a)|), ...) per collapsed axis in
-    # descending a, the order the chain rule needs; the half-spaces as sparse
-    # rows (((i, a_i), ...), b); the vertex average, read-only.
+    # Derived (module docstring), arrays read-only: chains as ((a, C(a),
+    # 2 - |C(a)|), ...), 0-based, in descending a for the chain rule; region
+    # rows (((i, a_i), ...), b); faces (P_S stacked as (K d, d), q_S as (K, d)).
     chains: tuple = field(init=False, repr=False, compare=False)
+    ancestor_sets: tuple = field(init=False, repr=False, compare=False)
+    along: frozenset = field(init=False, repr=False, compare=False)
     region: tuple = field(init=False, repr=False, compare=False)
+    planes: tuple = field(init=False, repr=False, compare=False)
+    faces: tuple = field(init=False, repr=False, compare=False)
     centroid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         along = dict(self.duffy_pairs)
         chains = []
+        ancestor_sets = [{q} for q in range(1, self.dim + 1)]
         for a, _ in self.duffy_pairs:
-            chain = []
-            b = a
+            chain, b = [], a
             while b in along:
                 b = along[b]
                 chain.append(b - 1)
+                ancestor_sets[b - 1].add(a)
             chains.append((a - 1, tuple(chain), 2.0 - len(chain)))
         region = tuple(
             (tuple((i, float(c)) for i, c in enumerate(a) if c), float(b))
             for a, b in self.halfspaces
         )
+        # P_S = I - pinv(A_S) A_S and q_S = pinv(A_S) b_S per set S of at
+        # most d rows, with rounding noise zeroed (a vertex's P_S is then 0).
+        a, b = (np.array(x, dtype=float) for x in zip(*self.halfspaces))
+        sets = [list(rows) for k in range(1, self.dim + 1)
+                for rows in itertools.combinations(range(len(b)), k)]
+        pinvs = [np.linalg.pinv(a[rows]) for rows in sets]
+        maps = [np.eye(self.dim) - pinv @ a[rows] for pinv, rows in zip(pinvs, sets)]
+        shifts = [pinv @ b[rows] for pinv, rows in zip(pinvs, sets)]
+        maps, shifts = (np.where(np.abs(x) < 1e-12, 0.0, x) for x in (maps, shifts))
         mid = np.asarray(self.vertices, dtype=float).mean(axis=0)
-        mid.flags.writeable = False
+        for x in (a, b, maps, shifts, mid):
+            x.flags.writeable = False
         object.__setattr__(self, "chains", tuple(sorted(chains, reverse=True)))
+        object.__setattr__(self, "ancestor_sets", tuple(map(frozenset, ancestor_sets)))
+        object.__setattr__(self, "along", frozenset(along.values()))
         object.__setattr__(self, "region", region)
+        object.__setattr__(self, "planes", (a, b))
+        object.__setattr__(self, "faces", (maps.reshape(-1, self.dim), shifts))
         object.__setattr__(self, "centroid", mid)
 
 
 SHAPE_SPECS = {
     Shape.SEGMENT: ShapeSpec(
-        Shape.SEGMENT, 1, (), (frozenset({1}),), ((-1.0,), (1.0,)),
+        Shape.SEGMENT, 1, (), ((-1.0,), (1.0,)),
         (((1,), 1.0), ((-1,), 1.0)),
     ),
     Shape.QUAD: ShapeSpec(
-        Shape.QUAD, 2, (), (frozenset({1}), frozenset({2})),
-        ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)),
+        Shape.QUAD, 2, (), ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)),
         (((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)),
     ),
     Shape.TRI: ShapeSpec(
-        Shape.TRI, 2, ((1, 2),), (frozenset({1}), frozenset({1, 2})),
-        ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)),
+        Shape.TRI, 2, ((1, 2),), ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)),
         (((-1, 0), 1.0), ((0, -1), 1.0), ((1, 1), 0.0)),
     ),
     Shape.HEX: ShapeSpec(
-        Shape.HEX, 3, (), (frozenset({1}), frozenset({2}), frozenset({3})),
+        Shape.HEX, 3, (),
         tuple((x, y, z) for z in (-1.0, 1.0) for y in (-1.0, 1.0) for x in (-1.0, 1.0)),
         (((1, 0, 0), 1.0), ((-1, 0, 0), 1.0),
          ((0, 1, 0), 1.0), ((0, -1, 0), 1.0),
@@ -124,14 +146,12 @@ SHAPE_SPECS = {
     ),
     Shape.PRISM: ShapeSpec(
         Shape.PRISM, 3, ((1, 2),),
-        (frozenset({1}), frozenset({1, 2}), frozenset({3})),
         tuple((x, y, z) for z in (-1.0, 1.0) for (x, y) in ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))),
         (((-1, 0, 0), 1.0), ((0, -1, 0), 1.0), ((1, 1, 0), 0.0),
          ((0, 0, 1), 1.0), ((0, 0, -1), 1.0)),
     ),
     Shape.PYR: ShapeSpec(
         Shape.PYR, 3, ((1, 3), (2, 3)),
-        (frozenset({1}), frozenset({2}), frozenset({1, 2, 3})),
         ((-1.0, -1.0, -1.0), (1.0, -1.0, -1.0), (1.0, 1.0, -1.0),
          (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)),
         (((-1, 0, 0), 1.0), ((0, -1, 0), 1.0),
@@ -140,7 +160,6 @@ SHAPE_SPECS = {
     ),
     Shape.TET: ShapeSpec(
         Shape.TET, 3, ((1, 2), (2, 3)),
-        (frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3})),
         ((-1.0, -1.0, -1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0),
          (-1.0, -1.0, 1.0)),
         (((-1, 0, 0), 1.0), ((0, -1, 0), 1.0), ((0, 0, -1), 1.0),
@@ -192,10 +211,7 @@ def exactness_contains(shape, k, alpha):
     alpha = np.asarray(alpha, dtype=int)
     if len(alpha) != spec.dim:
         raise InvalidInputError(f"alpha has dim {len(alpha)}, shape needs {spec.dim}")
-    for q in range(1, spec.dim + 1):
-        if sum(alpha[j - 1] for j in spec.ancestor_sets[q - 1]) > k[q - 1]:
-            return False
-    return True
+    return all(sum(alpha[j - 1] for j in g) <= kq for g, kq in zip(spec.ancestor_sets, k))
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +354,9 @@ def _rows(spec, pts):
 def contains_batch(shape, xis, tol):
     """Vectorized contains_point over an (M, d) array of points."""
     spec = SHAPE_SPECS[shape]
-    xis = _rows(spec, xis)
-    inside = np.ones(len(xis), dtype=bool)
-    for row, b in spec.region:
-        s = 0.0
-        for i, c in row:
-            s = s + c * xis[:, i]
-        inside &= s <= b + tol
-    return inside
+    a, b = spec.planes
+    with np.errstate(invalid="ignore"):  # inf * 0 on a point that fails anyway
+        return (a @ _rows(spec, xis).T <= b[:, None] + tol).all(axis=0)
 
 
 def collapse_batch(shape, xis):

@@ -65,3 +65,9 @@ def test_locate_subcommand(capsys):
 
 def test_locate_dimension_mismatch(capsys):
     assert main(["locate", "--shape", "tet", "--target=0.0,0.0"]) == 2
+
+
+def test_locate_non_finite_target(capsys):
+    assert main(["locate", "--shape", "tri", "--order", "3", "--target=inf,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err

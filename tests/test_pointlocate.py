@@ -4,6 +4,7 @@ import pytest
 from baryeval import (
     ALL_SHAPES,
     ConfigError,
+    InvalidInputError,
     LocateConfig,
     LocateProblem,
     Shape,
@@ -230,3 +231,74 @@ def test_outside_targets_stop_on_the_boundary(shape):
         assert not res.converged
         assert res.iterations <= 10, direction
         assert contains_point(shape, res.xi, 1e-9)
+
+
+def test_slanted_pyramid_face_target_stops():
+    # The second order-6 target of seed 305, drawn as in
+    # test_outside_targets_stop_on_the_boundary, slides along the edge where
+    # xi_1 = -1 meets the slanted face xi_2 + xi_3 = 0; with a projection
+    # that was not Euclidean the search ran to max_iters there.
+    shape = Shape.PYR
+    rng = np.random.default_rng(305)
+    basis = basis_for_order(shape, 6)
+    for _ in range(2):
+        x_of = _quadratic_map(3, rng, 0.3)
+        direction = rng.normal(size=3)
+    fields = tuple(
+        sample_field(shape, basis, lambda xi, i=i: float(x_of(xi)[i])) for i in range(3)
+    )
+    target = x_of(centroid(shape)) + 10.0 * direction / np.linalg.norm(direction)
+    res = locate(LocateProblem(shape, basis, fields, target))
+    assert not res.converged
+    assert res.iterations <= 10
+    assert contains_point(shape, res.xi, 1e-9)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_projection_is_euclidean(shape):
+    # KKT conditions of the nearest region point p = P(x): x - p is a
+    # non-negative combination of the normals of the half-spaces tight at p,
+    # and region points map to themselves.
+    from scipy.optimize import nnls
+
+    spec = spec_for(shape)
+    a = np.array([row for row, _ in spec.halfspaces], dtype=float)
+    b = np.array([off for _, off in spec.halfspaces])
+    rng = np.random.default_rng(list(Shape).index(shape))
+    points = [rng.uniform(-3.0, 3.0, size=spec.dim) for _ in range(300)]
+    points += [random_interior_point(shape, rng) for _ in range(20)]
+    points += list(np.asarray(spec.vertices, dtype=float))
+    for x in points:
+        p = project_into_region(shape, x)
+        if contains_point(shape, x, 1e-12):
+            assert np.array_equal(p, x)
+            continue
+        assert np.all(a @ p <= b + 1e-12), x
+        tight = np.abs(a @ p - b) <= 1e-9
+        assert tight.any(), x
+        _, resid = nnls(a[tight].T, x - p)
+        assert resid <= 1e-9 * np.linalg.norm(x - p), x
+
+
+@pytest.mark.parametrize("target, init", [
+    ([np.inf, 0.0], None),
+    ([np.nan, 0.0], None),
+    ([-0.5], None),
+    ([-0.3, -0.4], [np.nan, -0.5]),
+    ([-0.3, -0.4], [np.inf, -0.5]),
+    ([-0.3, -0.4], [-0.5]),
+])
+def test_locate_refuses_malformed_points(target, init):
+    shape = Shape.TRI
+    basis = basis_for_order(shape, 3)
+    cfg = LocateConfig(init=None if init is None else np.array(init))
+    problem = LocateProblem(shape, basis, _identity_fields(shape, basis),
+                            np.array(target), cfg)
+    with pytest.raises(InvalidInputError):
+        locate(problem)
+
+
+@pytest.mark.parametrize("xi", [[np.nan, 0.0], [np.inf, -np.inf], [0.5, -np.inf]])
+def test_projection_refuses_non_finite_points(xi):
+    with pytest.raises(InvalidInputError):
+        project_into_region(Shape.TRI, xi)
