@@ -31,8 +31,8 @@ from the chains, with all other coordinates passed through unchanged:
 
 `ShapeSpec` derives the rest: the chains, g(q) = {q} | {a : q in C(a)}, the
 `along` dimensions b (Radau axes), the half-spaces as sparse rows and as
-arrays (A, b), the vertex average, and for every set S of at most d rows the
-projection x -> P_S x + q_S onto A_S x = b_S (`pointlocate`'s face table).
+arrays (A, b), the vertex average, and the face table of the region
+projection: x -> P_S x + q_S onto A_S x = b_S for every set S of <= d rows.
 
 Collapse clamps every eta into [-1, 1]: a point admitted by a region
 tolerance but outside the region would otherwise map far outside the cube
