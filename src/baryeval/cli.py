@@ -27,6 +27,11 @@ from .verify import run_verify
 USAGE_ERROR = 2
 
 
+def coordinates(text):
+    """A comma-separated list of numbers; argparse reports a ValueError as a usage error."""
+    return np.array(text.split(","), dtype=float)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="baryeval",
@@ -54,7 +59,7 @@ def _build_parser():
     p_locate = sub.add_parser("locate", help="locate a point under the identity map")
     p_locate.add_argument("--shape", required=True)
     p_locate.add_argument("--order", type=int, default=4)
-    p_locate.add_argument("--target", required=True,
+    p_locate.add_argument("--target", required=True, type=coordinates,
                       help="comma-separated coordinates; use --target=-0.5,... for negative values")
     return parser
 
@@ -100,15 +105,14 @@ def _cmd_speedup(args):
 def _cmd_locate(args):
     shape = shape_from_name(args.shape)
     d = dim_of(shape)
-    target = np.array([float(part) for part in args.target.split(",")])
     basis = basis_for_order(shape, args.order)
     coord_fields = tuple(
         sample_field(shape, basis, lambda xi, q=q: float(xi[q])) for q in range(d)
     )
-    problem = LocateProblem(shape, basis, coord_fields, target, LocateConfig())
+    problem = LocateProblem(shape, basis, coord_fields, args.target, LocateConfig())
     result = locate(problem)
     print(f"shape:      {shape.value}")
-    print(f"target:     {np.array2string(target, precision=12)}")
+    print(f"target:     {np.array2string(args.target, precision=12)}")
     print(f"found xi:   {np.array2string(result.xi, precision=12)}")
     print(f"residual:   {result.residual:.3e}")
     print(f"iterations: {result.iterations}")

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, OutOfRegionError
+from .errors import InvalidInputError
 from .kernel import SNAP_TOL, EvalResult, bary_evaluate  # noqa: F401 (re-exported)
 from .nodes import NodeKind, make_node_set
-from .shapes import (REGION_TOL, Shape, _chain_rule, collapse_floats, contains_point, dim_of,
-                     expand_batch, spec_for)
-from .tensor import FieldValues, TensorBasis, _contract, eta_grid
+from .shapes import (REGION_TOL, Shape, _chain_rule, _check_basis,  # noqa: F401 (REGION_TOL)
+                     collapse_floats, expand_batch, spec_for)
+from .tensor import FieldValues, TensorBasis, _check_field, _contract, eta_grid
 
 
 def axis_kinds(shape):
@@ -76,30 +76,17 @@ class ElementEvaluator:
     """
 
     def __init__(self, shape, basis, field):
-        if basis.dim != dim_of(shape):
-            raise InvalidInputError(
-                f"basis dim {basis.dim} does not match {shape.value} dim {dim_of(shape)}"
-            )
+        self._spec = _check_basis(shape, basis)
         single = not isinstance(field, tuple)
         fields = (field,) if single else field
         if not fields:
             raise InvalidInputError("an evaluator needs at least one field")
         for f in fields:
-            if len(f) != basis.size:
-                raise InvalidInputError(
-                    f"field has {len(f)} values, grid has {basis.size}"
-                )
-        for q in spec_for(shape).along:
-            if basis.axes[q - 1].nodes[-1] >= 1.0:
-                raise InvalidInputError(
-                    f"axis {q} of a {shape.value} basis must exclude +1 "
-                    "(collapse singularity)"
-                )
+            _check_field(basis, f)
         self.shape = shape
         self.basis = basis
         self.field = field
         self._single = single
-        self._spec = spec_for(shape)
         self._data = field.data if single else np.stack([f.data for f in fields])
 
     @classmethod
@@ -134,7 +121,5 @@ class ElementEvaluator:
             raise InvalidInputError("phys_evaluate_1d applies to segments only")
         if not self._single:
             raise InvalidInputError("phys_evaluate_1d evaluates a single field")
-        xi = float(np.atleast_1d(np.asarray(xi, dtype=float))[0])
-        if not contains_point(self.shape, [xi], REGION_TOL):
-            raise OutOfRegionError(f"{xi} lies outside [-1, 1]")
-        return bary_evaluate(self.basis.axes[0], self.field.data, xi, deriv)
+        (eta,) = collapse_floats(self.shape, xi)
+        return bary_evaluate(self.basis.axes[0], self._data, eta, deriv)

@@ -211,8 +211,10 @@ def bary_evaluate(nodeset, values, eta, deriv=0):
     if deriv not in (0, 1, 2):
         raise InvalidInputError(f"derivative order must be 0, 1 or 2, got {deriv}")
     v = np.asarray(values, dtype=float)
-    if len(v) != nodeset.n:
-        raise InvalidInputError(f"expected {nodeset.n} values, got {len(v)}")
+    if v.shape != (nodeset.n,):
+        raise InvalidInputError(f"values have shape {v.shape}, expected ({nodeset.n},)")
+    if np.ndim(eta) or np.iscomplexobj(eta):
+        raise InvalidInputError(f"eta must be a real scalar, got {eta!r}")
     p, _ = _reduce_lines(nodeset, float(eta), deriv, [v.tolist()])
     return EvalResult(p[0], np.array(p[1:2]) if deriv else None,
                       p[2] if deriv > 1 else None)

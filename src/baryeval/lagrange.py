@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, OutOfRegionError, SingularCollapseError
-from .shapes import REGION_TOL, collapse_batch, contains_batch, dim_of, jacobian_entries
+from .errors import OutOfRegionError, SingularCollapseError
+from .shapes import REGION_TOL, _check_basis, collapse_batch, contains_batch, jacobian_entries
+from .tensor import _check_field
 
 
 def cardinal_values(nodes, etas):
@@ -67,7 +68,8 @@ def _assemble_rows(per_axis):
     """Tensor rows from per-axis (M, n_q) factors, dimension 1 fastest."""
     rows = per_axis[0]
     for factors in per_axis[1:]:
-        rows = (factors[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
+        size = factors.shape[1] * rows.shape[1]  # not -1, which M = 0 leaves undefined
+        rows = (factors[:, :, None] * rows[:, None, :]).reshape(len(rows), size)
     return rows
 
 
@@ -116,15 +118,8 @@ def build_operator(shape, basis, points, want_derivs=False):
     outside the reference region (`OutOfRegionError`) and, with derivatives,
     a point on a singular face of the collapse (`SingularCollapseError`).
     """
-    if basis.dim != dim_of(shape):
-        raise InvalidInputError(
-            f"basis dim {basis.dim} does not match {shape.value} dim {dim_of(shape)}"
-        )
+    _check_basis(shape, basis)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != basis.dim:
-        raise InvalidInputError(
-            f"points have dim {points.shape[1]}, shape needs {basis.dim}"
-        )
     inside = contains_batch(shape, points, REGION_TOL)
     if not np.all(inside):
         m = int(np.argmin(inside))
@@ -151,10 +146,7 @@ def build_operator(shape, basis, points, want_derivs=False):
 
 def apply_operator(op, field):
     """Values (and derivatives) at all query points of the operator."""
-    if len(field) != op.basis.size:
-        raise InvalidInputError(
-            f"field has {len(field)} values, grid has {op.basis.size}"
-        )
+    _check_field(op.basis, field)
     values = op.value_matrix @ field.data
     if op.deriv_matrices is None:
         return values, None

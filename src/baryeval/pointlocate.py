@@ -30,7 +30,7 @@ import numpy as np
 
 from .element import ElementEvaluator
 from .errors import ConfigError, InvalidInputError, SingularCollapseError
-from .shapes import Shape, centroid, contains_point, dim_of, spec_for
+from .shapes import Shape, centroid, contains_batch, contains_point, dim_of, spec_for
 
 
 # Stationarity tolerance (times max(1, |target|)), Armijo constant and
@@ -83,9 +83,9 @@ def project_into_region(shape, xi):
         return xi
     if not np.isfinite(xi).all():
         raise InvalidInputError(f"cannot project the non-finite point {xi}")
-    (maps, shifts), (a, b) = spec_for(shape).faces, spec_for(shape).planes
+    maps, shifts = spec_for(shape).faces
     cands = (maps @ xi).reshape(shifts.shape) + shifts
-    feasible = (cands @ a.T <= b + 1e-12).all(axis=1)
+    feasible = contains_batch(shape, cands, 1e-12)
     return cands[np.where(feasible, ((cands - xi) ** 2).sum(axis=1), np.inf).argmin()]
 
 

@@ -41,7 +41,8 @@ extrapolate.
 
 The formulas are written twice over the table: on Python floats for single
 points, where array dispatch would cost more than the arithmetic, and on
-NumPy columns for batches.
+NumPy columns for batches.  Inputs are checked once, here: a point by
+`_floats`, a batch by `_rows`, a basis for a shape by `_check_basis`.
 """
 
 from __future__ import annotations
@@ -201,6 +202,20 @@ def ancestors(shape, q):
     return spec.ancestor_sets[q - 1]
 
 
+def _check_basis(shape, basis):
+    """The spec of shape, refusing a basis of another dimension, or with a node
+    at +1 on an `along` axis (the collapse singularity)."""
+    spec = SHAPE_SPECS[shape]
+    if basis.dim != spec.dim:
+        raise InvalidInputError(
+            f"basis dim {basis.dim} does not match {shape.value} dim {spec.dim}")
+    for q in spec.along:
+        if basis.axes[q - 1].nodes[-1] >= 1.0:
+            raise InvalidInputError(
+                f"axis {q} of a {shape.value} basis must exclude +1 (collapse singularity)")
+    return spec
+
+
 def exactness_contains(shape, k, alpha):
     """Whether the monomial xi^alpha is evaluated exactly on a degree-k grid.
 
@@ -220,10 +235,10 @@ def exactness_contains(shape, k, alpha):
 
 
 def _floats(spec, xi):
-    """xi as a list of floats of the shape's dimension."""
+    """xi, of shape (d,) (a scalar on a segment), as a list of d floats."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if len(xi) != spec.dim:
-        raise InvalidInputError(f"point has dim {len(xi)}, shape needs {spec.dim}")
+    if xi.shape != (spec.dim,):
+        raise InvalidInputError(f"point has shape {xi.shape}, shape needs ({spec.dim},)")
     return xi.tolist()
 
 

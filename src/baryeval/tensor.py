@@ -50,6 +50,8 @@ class FieldValues:
 
     def __post_init__(self):
         object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
+        if self.data.ndim != 1:
+            raise InvalidInputError(f"field samples must be 1-D, got shape {self.data.shape}")
         self.data.setflags(write=False)
 
     def __len__(self):
@@ -71,11 +73,21 @@ def sample_on_grid(basis, func):
     return FieldValues(np.array([func(p) for p in pts]))
 
 
-def _check_field(basis, fieldvalues):
-    if len(fieldvalues) != basis.size:
-        raise InvalidInputError(
-            f"field has {len(fieldvalues)} values, grid has {basis.size}"
-        )
+def _check_field(basis, field):
+    """Refuse anything but a FieldValues with one sample per node of basis."""
+    if not isinstance(field, FieldValues):
+        raise InvalidInputError(f"a field must be FieldValues, got {type(field).__name__}")
+    if len(field.data) != basis.size:
+        raise InvalidInputError(f"field has {len(field.data)} values, grid has {basis.size}")
+
+
+def _query(basis, field, eta):
+    """The field check, then eta as a (d,) array; any other shape is refused."""
+    _check_field(basis, field)
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    if eta.shape != (basis.dim,):
+        raise InvalidInputError(f"point has shape {eta.shape}, basis needs ({basis.dim},)")
+    return eta
 
 
 def _contract(basis, data, eta, gradient):
@@ -127,10 +139,7 @@ def tensor_evaluate(basis, fieldvalues, eta, gradient=False):
     n2 + 2 reductions in 2D and n2*n3 + 2*n3 + 3 in 3D (value only: n2 + 1
     and n2*n3 + n3 + 1).
     """
-    _check_field(basis, fieldvalues)
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if len(eta) != basis.dim:
-        raise InvalidInputError(f"point has dim {len(eta)}, basis dim {basis.dim}")
+    eta = _query(basis, fieldvalues, eta)
     parts, _ = _contract(basis, fieldvalues.data, eta.tolist(), gradient)
     return EvalResult(parts[0], np.array(parts[1:])) if gradient else EvalResult(parts[0])
 
@@ -140,10 +149,7 @@ def multi_bary_direct(basis, fieldvalues, eta):
 
     Slow O(N) oracle for tensor_evaluate; undefined on grid lines.
     """
-    _check_field(basis, fieldvalues)
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if len(eta) != basis.dim:
-        raise InvalidInputError(f"point has dim {len(eta)}, basis dim {basis.dim}")
+    eta = _query(basis, fieldvalues, eta)
     if not np.isfinite(eta).all():
         raise InvalidInputError(f"query point {eta} is not finite")
     per_axis = []

@@ -71,3 +71,9 @@ def test_locate_non_finite_target(capsys):
     assert main(["locate", "--shape", "tri", "--order", "3", "--target=inf,0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
+
+
+def test_locate_non_numeric_target_is_usage_error(capsys):
+    assert main(["locate", "--shape", "tri", "--target=a,0"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--target" in err

@@ -251,3 +251,18 @@ def test_singular_refusal_names_the_first_bad_point(shape):
     points = np.array([centroid(shape), centroid(shape), apex, apex])
     with pytest.raises(SingularCollapseError, match=rf"point 2 at {re.escape(str(apex))}"):
         build_operator(shape, basis, points, want_derivs=True)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_zero_points_give_empty_matrices(shape):
+    basis = basis_for_order(shape, 3)
+    d = dim_of(shape)
+    field = FieldValues(np.ones(basis.size))
+    op = build_operator(shape, basis, np.empty((0, d)))
+    assert op.value_matrix.shape == (0, basis.size) and op.deriv_matrices is None
+    assert apply_operator(op, field)[0].shape == (0,)
+    op = build_operator(shape, basis, np.empty((0, d)), want_derivs=True)
+    assert op.value_matrix.shape == (0, basis.size)
+    assert op.deriv_matrices.shape == (d, 0, basis.size)
+    values, grads = apply_operator(op, field)
+    assert values.shape == (0,) and grads.shape == (d, 0)
