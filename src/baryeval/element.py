@@ -30,8 +30,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .kernel import SNAP_TOL, EvalResult, bary_evaluate  # noqa: F401 (re-exported)
 from .nodes import NodeKind, make_node_set
-from .shapes import (REGION_TOL, Shape, _chain_rule, _check_basis,  # noqa: F401 (REGION_TOL)
-                     collapse_floats, expand_batch, spec_for)
+from .shapes import REGION_TOL  # noqa: F401 (re-exported)
+from .shapes import Shape, _chain_rule, _check_basis, collapse_floats, expand_batch, spec_for
 from .tensor import FieldValues, TensorBasis, _check_field, _contract, eta_grid
 
 

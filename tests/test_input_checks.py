@@ -25,11 +25,12 @@ from baryeval import (
     sample_field,
     tensor_evaluate,
 )
+from baryeval.pointlocate import project_into_region
 from baryeval.shapes import collapse, contains_point, jacobian
 
 TRI = basis_for_order(Shape.TRI, 3)  # N = 25
 QUAD = basis_for_order(Shape.QUAD, 3)
-GLL_TRI = TensorBasis(tuple(make_node_set(NodeKind.GAUSS_LOBATTO_LEGENDRE, 5) for _ in "12"))
+GLL_TRI = TensorBasis(tuple(make_node_set(NodeKind.GAUSS_LOBATTO_LEGENDRE, 5) for _ in range(2)))
 FIELD = sample_field(Shape.TRI, TRI, lambda xi: 1.0)
 SEGMENT = ElementEvaluator.for_order(Shape.SEGMENT, 3, lambda xi: xi[0])
 TRI_EVAL = ElementEvaluator(Shape.TRI, TRI, FIELD)
@@ -55,6 +56,7 @@ CASES = {
     "collapse, (d, 1) point": lambda: collapse(Shape.TRI, COLUMN),
     "phys_evaluate, (d, 1) point": lambda: TRI_EVAL.phys_evaluate(COLUMN),
     "jacobian, (1, 1) point": lambda: jacobian(Shape.SEGMENT, [[0.5]]),
+    "project_into_region, (d, 1) point": lambda: project_into_region(Shape.TRI, COLUMN),
     "tensor_evaluate, (d, 1) point":
         lambda: tensor_evaluate(QUAD, sample_field(Shape.QUAD, QUAD, lambda xi: 1.0),
                                 [[0.1], [0.2]]),
