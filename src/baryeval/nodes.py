@@ -13,14 +13,17 @@ The barycentric weights follow
 
 which differs from the Berrut-Trefethen convention by a factor (-1)^k common
 to all j.  Every downstream quantity is a ratio of weighted sums, so the
-common factor cancels; see the weight-scaling test.
+common factor cancels; see the weight-scaling test.  `make_node_set` builds
+each (kind, n) once per process and shares that NodeSet with every caller; a
+NodeSet is read-only and compares by identity.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -105,10 +108,22 @@ def _gauss_radau_minus_nodes(n):
     return np.concatenate(([-1.0], interior))
 
 
-def generate_nodes(kind, n):
-    """Generate n strictly ascending interpolation nodes in [-1, 1]."""
+def _check(kind, n):
+    """n as an int in [2, MAX_NODES], refusing it or an unknown kind."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidSizeError(f"node count must be an integer, got {n!r}") from None
     if not 2 <= n <= MAX_NODES:
         raise InvalidSizeError(f"node count must be in [2, {MAX_NODES}], got {n}")
+    if not isinstance(kind, NodeKind):
+        raise InvalidSizeError(f"unknown node kind: {kind!r}")
+    return n
+
+
+def generate_nodes(kind, n):
+    """Generate n strictly ascending interpolation nodes in [-1, 1]."""
+    n = _check(kind, n)
     if kind == NodeKind.GAUSS_LOBATTO_LEGENDRE:
         nodes = _gll_nodes(n)
     elif kind == NodeKind.GAUSS_RADAU_MINUS:
@@ -116,10 +131,8 @@ def generate_nodes(kind, n):
     elif kind == NodeKind.CHEBYSHEV_GAUSS_LOBATTO:
         nodes = -np.cos(np.pi * np.arange(n) / (n - 1))
         nodes[0], nodes[-1] = -1.0, 1.0
-    elif kind == NodeKind.EQUISPACED:
-        nodes = np.linspace(-1.0, 1.0, n)
     else:
-        raise InvalidSizeError(f"unknown node kind: {kind!r}")
+        nodes = np.linspace(-1.0, 1.0, n)
     if np.any(np.diff(nodes) <= 0.0):
         raise ConvergenceError(f"generated nodes are not strictly ascending for {kind}")
     return nodes
@@ -153,9 +166,16 @@ def diff_matrix(nodes, weights):
     return d
 
 
-@dataclass(frozen=True)
+def _read_only(values):
+    """A float copy of values that no caller can write: a read-only view of a read-only base."""
+    base = np.array(values, dtype=float)
+    base.setflags(write=False)
+    return base.view()
+
+
+@dataclass(frozen=True, eq=False)
 class NodeSet:
-    """Immutable bundle of nodes, barycentric weights and derivative matrices."""
+    """Read-only copies of nodes, barycentric weights and derivative matrices; `==` is `is`."""
 
     kind: NodeKind
     nodes: np.ndarray
@@ -169,15 +189,21 @@ class NodeSet:
 
     @cached_property
     def floats(self):
-        """nodes and weights as Python float lists, built on first use."""
-        return self.nodes.tolist(), self.weights.tolist()
+        """nodes and weights as tuples of Python floats, built on first use."""
+        return tuple(self.nodes.tolist()), tuple(self.weights.tolist())
 
     def __post_init__(self):
-        for arr in (self.nodes, self.weights, self.d1, self.d2):
-            arr.setflags(write=False)
+        for name in ("nodes", "weights", "d1", "d2"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
 
 def make_node_set(kind, n):
+    """The shared NodeSet of the given kind and size, built on the first call for (kind, n)."""
+    return _node_set(kind, _check(kind, n))
+
+
+@cache
+def _node_set(kind, n):
     """Build a NodeSet of the given kind and size."""
     nodes = generate_nodes(kind, n)
     weights = bary_weights(nodes)

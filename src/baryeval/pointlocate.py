@@ -91,9 +91,13 @@ def project_into_region(shape, xi):
 
 def _coordinates(shape, value, what):
     """value as d finite floats; anything else is refused."""
-    x, d = np.array(value, dtype=float), dim_of(shape)
-    if x.shape != (d,) or not np.isfinite(x).all():
-        raise InvalidInputError(f"{what} must be {d} finite coordinates, got {x}")
+    d = dim_of(shape)
+    try:
+        x = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        x = None
+    if x is None or x.shape != (d,) or not np.isfinite(x).all():
+        raise InvalidInputError(f"{what} must be {d} finite coordinates, got {value!r}")
     return x
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import CollocationError, InvalidInputError
 from .kernel import SNAP_TOL, EvalResult, _axis_rows, _reduce_lines, counters
+from .nodes import _read_only
 
 
 @dataclass(frozen=True)
@@ -44,15 +45,14 @@ class TensorBasis:
 
 @dataclass(frozen=True)
 class FieldValues:
-    """Flat array of field samples on the tensor grid, dimension-1 fastest."""
+    """Read-only copy of the field samples on the tensor grid, flat, dimension-1 fastest."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
+        object.__setattr__(self, "data", _read_only(self.data))
         if self.data.ndim != 1:
             raise InvalidInputError(f"field samples must be 1-D, got shape {self.data.shape}")
-        self.data.setflags(write=False)
 
     def __len__(self):
         return len(self.data)

@@ -392,3 +392,12 @@ def test_multi_field_validation():
     field = FieldValues(np.zeros(seg.size))
     with pytest.raises(InvalidInputError):
         ElementEvaluator(Shape.SEGMENT, seg, (field, field)).phys_evaluate_1d(0.1)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_bases_compare_and_hash_by_their_shared_node_sets(shape):
+    basis = basis_for_order(shape, 3)
+    assert basis == basis_for_order(shape, np.int64(3))
+    assert all(a is b for a, b in zip(basis.axes, basis_for_order(shape, 3).axes))
+    assert basis != basis_for_order(shape, 4)
+    assert {basis: shape}[basis_for_order(shape, 3)] is shape

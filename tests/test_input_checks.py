@@ -1,7 +1,8 @@
 """Malformed fields, bases and points are refused with a BaryevalError.
 
-Each input rule has one owner: `tensor` checks fields and cube points,
-`shapes` checks bases for a shape and region points, one or a batch.  Every
+Each input rule has one owner: `nodes` checks node kinds and sizes,
+`tensor` checks fields and cube points, `shapes` checks bases for a shape
+and region points, one or a batch, and `pointlocate` a target and a start.  Every
 entry point that takes such an input goes through that check, so each row
 below names an entry point and an input its owner refuses.
 """
@@ -13,6 +14,8 @@ from baryeval import (
     BaryevalError,
     ElementEvaluator,
     FieldValues,
+    LocateConfig,
+    LocateProblem,
     NodeKind,
     Shape,
     TensorBasis,
@@ -20,6 +23,7 @@ from baryeval import (
     bary_evaluate,
     basis_for_order,
     build_operator,
+    locate,
     make_node_set,
     multi_bary_direct,
     sample_field,
@@ -36,6 +40,7 @@ SEGMENT = ElementEvaluator.for_order(Shape.SEGMENT, 3, lambda xi: xi[0])
 TRI_EVAL = ElementEvaluator(Shape.TRI, TRI, FIELD)
 OPERATOR = build_operator(Shape.TRI, TRI, [[-0.5, -0.5]])
 COLUMN = [[-0.5], [-0.5]]  # a (d, 1) point
+COORDS = tuple(sample_field(Shape.TRI, TRI, lambda xi, q=q: xi[q]) for q in range(2))
 
 
 def _column_field():
@@ -66,6 +71,13 @@ CASES = {
         lambda: bary_evaluate(TRI.axes[0], np.ones((5, 1)), 0.1),
     "bary_evaluate, eta of shape (1,)":
         lambda: bary_evaluate(TRI.axes[0], np.ones(5), np.array([0.1])),
+    "make_node_set, size 5.0": lambda: make_node_set(NodeKind.GAUSS_LOBATTO_LEGENDRE, 5.0),
+    "basis_for_order, order 2.5": lambda: basis_for_order(Shape.TRI, 2.5),
+    "locate, non-numeric target":
+        lambda: locate(LocateProblem(Shape.TRI, TRI, COORDS, ["a", 0])),
+    "locate, non-numeric init":
+        lambda: locate(LocateProblem(Shape.TRI, TRI, COORDS, [-0.5, -0.5],
+                                     LocateConfig(init=["a", 0]))),
 }
 
 

@@ -6,12 +6,16 @@ from baryeval import (
     DegenerateNodesError,
     InvalidSizeError,
     NodeKind,
+    NodeSet,
     bary_weights,
     diff_matrix,
     generate_nodes,
     make_node_set,
 )
 from baryeval.fields import horner_derivative_coeffs, horner_eval
+from baryeval.nodes import MAX_NODES, _node_set
+
+ARRAYS = ("nodes", "weights", "d1", "d2")
 
 ALL_KINDS = list(NodeKind)
 
@@ -164,3 +168,74 @@ def test_nodeset_arrays_immutable():
     ns = make_node_set(NodeKind.GAUSS_LOBATTO_LEGENDRE, 5)
     with pytest.raises(ValueError):
         ns.nodes[0] = 0.0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_node_sets_are_built_once_and_shared(kind):
+    ns = make_node_set(kind, 7)
+    assert make_node_set(kind, 7) is ns
+    assert make_node_set(kind, np.int64(7)) is ns
+    assert make_node_set(kind, np.int32(7)) is ns
+    assert make_node_set(kind, 8) is not ns
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_shared_arrays_cannot_be_made_writeable(kind):
+    ns = make_node_set(kind, 6)
+    for name in ARRAYS:
+        with pytest.raises(ValueError):
+            getattr(ns, name).setflags(write=True)
+        with pytest.raises(ValueError):
+            getattr(ns, name)[0] = 0.0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [2, 7, 16, 64])
+def test_shared_node_set_matches_a_fresh_build(kind, n):
+    shared, fresh = make_node_set(kind, n), _node_set.__wrapped__(kind, n)
+    assert fresh is not shared
+    for name in ARRAYS:
+        a, b = getattr(shared, name), getattr(fresh, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_node_set_cache_is_bounded():
+    for kind in ALL_KINDS:
+        for n in range(2, MAX_NODES + 1):
+            make_node_set(kind, n)
+        for bad in (1, MAX_NODES + 1):
+            with pytest.raises(InvalidSizeError):
+                make_node_set(kind, bad)
+    assert _node_set.cache_info().currsize <= len(ALL_KINDS) * (MAX_NODES - 1) == 252
+
+
+@pytest.mark.parametrize("size", [5.0, 2.5, "5", None])
+def test_non_integer_sizes_are_refused(size):
+    with pytest.raises(InvalidSizeError, match="integer"):
+        make_node_set(NodeKind.GAUSS_LOBATTO_LEGENDRE, size)
+    with pytest.raises(InvalidSizeError, match="integer"):
+        generate_nodes(NodeKind.GAUSS_LOBATTO_LEGENDRE, size)
+
+
+@pytest.mark.parametrize("kind", ["gll", None, [NodeKind.EQUISPACED]])
+def test_unknown_kinds_are_refused(kind):
+    with pytest.raises(InvalidSizeError, match="unknown node kind"):
+        make_node_set(kind, 5)
+
+
+def test_node_sets_compare_and_hash_by_identity():
+    gll5 = make_node_set(NodeKind.GAUSS_LOBATTO_LEGENDRE, 5)
+    assert gll5 == make_node_set(NodeKind.GAUSS_LOBATTO_LEGENDRE, 5)
+    assert gll5 != make_node_set(NodeKind.GAUSS_LOBATTO_LEGENDRE, 6)
+    assert gll5 != _node_set.__wrapped__(NodeKind.GAUSS_LOBATTO_LEGENDRE, 5)
+    assert {gll5: 1}[make_node_set(NodeKind.GAUSS_LOBATTO_LEGENDRE, 5)] == 1
+
+
+def test_node_set_copies_the_arrays_it_is_given():
+    ns = make_node_set(NodeKind.EQUISPACED, 3)
+    arrays = [getattr(ns, name).copy() for name in ARRAYS]
+    own = NodeSet(NodeKind.EQUISPACED, *arrays)
+    for name, a in zip(ARRAYS, arrays):
+        assert a.flags.writeable
+        a[0] = 7.0
+        assert np.array_equal(getattr(own, name), getattr(ns, name))

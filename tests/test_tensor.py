@@ -202,3 +202,13 @@ def test_non_finite_query_refused(bad):
                 tensor_evaluate(basis, field, eta, gradient=gradient)
         with pytest.raises(InvalidInputError):
             multi_bary_direct(basis, field, eta)
+
+
+def test_field_values_copy_the_callers_samples():
+    a = np.ones(25)
+    field = FieldValues(a)
+    a[0] = 2.0  # the caller's array stays writeable
+    assert a.flags.writeable
+    assert field.data[0] == 1.0
+    with pytest.raises(ValueError):
+        field.data.setflags(write=True)
