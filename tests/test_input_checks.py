@@ -2,9 +2,9 @@
 
 Each input rule has one owner: `nodes` checks node kinds and sizes,
 `tensor` checks fields and cube points, `shapes` checks bases for a shape
-and region points, one or a batch, and `pointlocate` a target and a start.  Every
-entry point that takes such an input goes through that check, so each row
-below names an entry point and an input its owner refuses.
+and region points, one or a batch, and `pointlocate` a target and a start.
+Every entry point that takes such an input goes through that check, so
+each row below names an entry point and an input its owner refuses.
 """
 
 import numpy as np

@@ -207,7 +207,7 @@ def test_non_finite_query_refused(bad):
 def test_field_values_copy_the_callers_samples():
     a = np.ones(25)
     field = FieldValues(a)
-    a[0] = 2.0  # the caller's array stays writeable
+    a[0] = 2.0
     assert a.flags.writeable
     assert field.data[0] == 1.0
     with pytest.raises(ValueError):
