@@ -64,7 +64,7 @@ def xi_grid(shape, basis):
 
 def sample_field(shape, basis, func):
     """Sample func(xi) on the shape's grid into FieldValues."""
-    return FieldValues(np.array([func(xi) for xi in xi_grid(shape, basis)]))
+    return FieldValues([func(xi) for xi in xi_grid(shape, basis)])
 
 
 class ElementEvaluator:

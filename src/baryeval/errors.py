@@ -1,4 +1,8 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and `as_floats`, which reads caller input."""
+
+import reprlib
+
+import numpy as np
 
 
 class BaryevalError(Exception):
@@ -24,6 +28,29 @@ class CollocationError(BaryevalError, ValueError):
 
 class InvalidInputError(BaryevalError, ValueError):
     """Mismatched array lengths or otherwise malformed input."""
+
+
+_FLOAT64 = np.dtype(float)
+
+
+def as_floats(value, what):
+    """value as a float array, read as `np.asarray(value, dtype=float)` reads it.
+
+    True is 1.0, "0.1" is 0.1 and None is NaN.  What does not read as real
+    numbers (a non-numeric string, a complex number, a dict, a ragged list, an
+    object array of these) raises InvalidInputError naming `what`.  Shape and
+    finiteness rules belong to the module that owns the input.
+    """
+    try:
+        x = np.asarray(value)
+        if x.dtype is not _FLOAT64:
+            if x.dtype.kind == "c":
+                raise TypeError  # a cast would drop the imaginary part with only a warning
+            x = x.astype(float)
+        return x
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(
+            f"{what} must be real numbers, got {reprlib.repr(value)}") from None
 
 
 class OutOfRegionError(BaryevalError, ValueError):

@@ -10,7 +10,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, as_floats
 from .shapes import (SINGULAR_TOL, _denominators, contains_point, dim_of, exactness_contains,
                      spec_for)
 
@@ -32,11 +32,11 @@ def benchmark_field(dim):
     signs = np.array([1.0, 1.0, -1.0][:dim])
 
     def value(xi):
-        xi = np.asarray(xi, dtype=float)
+        xi = as_floats(xi, "point")
         return float((signs * xi * xi).sum())
 
     def grad(xi):
-        xi = np.asarray(xi, dtype=float)
+        xi = as_floats(xi, "point")
         return 2.0 * signs * xi
 
     names = ["x1^2", "x1^2 + x2^2", "x1^2 + x2^2 - x3^2"]
@@ -48,11 +48,11 @@ def monomial_field(alpha):
     alpha = np.asarray(alpha, dtype=int)
 
     def value(xi):
-        xi = np.asarray(xi, dtype=float)
+        xi = as_floats(xi, "point")
         return float(np.prod(xi**alpha))
 
     def grad(xi):
-        xi = np.asarray(xi, dtype=float)
+        xi = as_floats(xi, "point")
         out = np.zeros(len(alpha))
         for q in range(len(alpha)):
             if alpha[q] == 0:
@@ -97,7 +97,7 @@ def horner_derivative_coeffs(coeffs):
 
 def singular_distance(shape, xi):
     """Smallest collapse denominator |D_a| at xi (inf for tensorial shapes)."""
-    dens = _denominators(spec_for(shape), np.asarray(xi, dtype=float))
+    dens = _denominators(spec_for(shape), as_floats(xi, "point"))
     return min((abs(den) for den in dens), default=np.inf)
 
 

@@ -39,7 +39,7 @@ from operator import truediv as _div
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, as_floats
 
 # Cube coordinates within this distance of a node are collocated with it and
 # snapped onto it.  Collapse arithmetic perturbs grid-point preimages by a few
@@ -90,10 +90,8 @@ class EvalResult:
 def _nearest(z, e):
     """Index of the node of z (ascending floats) nearest e, the first of a tie.
 
-    A non-finite e is refused with InvalidInputError.
+    e must be finite; every entry point refuses any other.
     """
-    if not math.isfinite(e):
-        raise InvalidInputError(f"query coordinate {e} is not finite")
     k = bisect_left(z, e)
     if k == len(z) or (k and e - z[k - 1] <= z[k] - e):
         k -= 1
@@ -210,11 +208,12 @@ def bary_evaluate(nodeset, values, eta, deriv=0):
     """
     if deriv not in (0, 1, 2):
         raise InvalidInputError(f"derivative order must be 0, 1 or 2, got {deriv}")
-    v = np.asarray(values, dtype=float)
-    if v.shape != (nodeset.n,):
-        raise InvalidInputError(f"values have shape {v.shape}, expected ({nodeset.n},)")
-    if np.ndim(eta) or np.iscomplexobj(eta):
-        raise InvalidInputError(f"eta must be a real scalar, got {eta!r}")
-    p, _ = _reduce_lines(nodeset, float(eta), deriv, [v.tolist()])
+    v = as_floats(values, "values")
+    if v.shape != (nodeset.n,) or not np.isfinite(v).all():
+        raise InvalidInputError(f"values must be {nodeset.n} finite numbers, got {v}")
+    e = as_floats(eta, "eta")
+    if e.ndim or not math.isfinite(e):
+        raise InvalidInputError(f"eta must be a finite real scalar, got {eta!r}")
+    p, _ = _reduce_lines(nodeset, float(e), deriv, [v.tolist()])
     return EvalResult(p[0], np.array(p[1:2]) if deriv else None,
                       p[2] if deriv > 1 else None)

@@ -24,15 +24,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRegionError, SingularCollapseError
+from .errors import InvalidInputError, OutOfRegionError, SingularCollapseError, as_floats
 from .shapes import REGION_TOL, _check_basis, collapse_batch, contains_batch, jacobian_entries
 from .tensor import _check_field
 
 
 def cardinal_values(nodes, etas):
-    """Cardinal Lagrange values l_j(eta) for all j at each eta, (M, n)."""
-    z = np.asarray(nodes, dtype=float)
-    etas = np.atleast_1d(np.asarray(etas, dtype=float))
+    """Cardinal Lagrange values l_j(eta) for all j at each finite eta, (M, n)."""
+    z, etas = as_floats(nodes, "nodes"), np.atleast_1d(as_floats(etas, "eta"))
+    if z.ndim != 1 or etas.ndim != 1 or not (np.isfinite(z).all() and np.isfinite(etas).all()):
+        raise InvalidInputError(f"nodes {z} and etas {etas} must be finite, in one dimension")
+    return _cardinal_values(z, etas)
+
+
+def _cardinal_values(z, etas):
+    """`cardinal_values` on checked (n,) nodes and (M,) etas."""
     delta = z[:, None] - z[None, :]
     np.fill_diagonal(delta, 1.0)
     ratios = (etas[:, None, None] - z[None, None, :]) / delta[None, :, :]
@@ -119,7 +125,7 @@ def build_operator(shape, basis, points, want_derivs=False):
     a point on a singular face of the collapse (`SingularCollapseError`).
     """
     _check_basis(shape, basis)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.atleast_2d(as_floats(points, "points"))
     inside = contains_batch(shape, points, REGION_TOL)
     if not np.all(inside):
         m = int(np.argmin(inside))
@@ -127,7 +133,7 @@ def build_operator(shape, basis, points, want_derivs=False):
             f"point {m} at {points[m]} lies outside the {shape.value} reference region"
         )
     etas = collapse_batch(shape, points)
-    cards = [cardinal_values(ax.nodes, etas[:, q]) for q, ax in enumerate(basis.axes)]
+    cards = [_cardinal_values(ax.nodes, etas[:, q]) for q, ax in enumerate(basis.axes)]
 
     if not want_derivs:
         return InterpOperator(shape, basis, points, _assemble_rows(cards), None)

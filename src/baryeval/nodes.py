@@ -27,7 +27,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateNodesError, InvalidSizeError
+from .errors import ConvergenceError, DegenerateNodesError, InvalidSizeError, as_floats
 
 MAX_NODES = 64
 NEWTON_TOL = 1e-14
@@ -140,7 +140,7 @@ def generate_nodes(kind, n):
 
 def bary_weights(nodes):
     """Barycentric weights w_j = 1 / prod_{i != j}(z_i - z_j)."""
-    z = np.asarray(nodes, dtype=float)
+    z = as_floats(nodes, "nodes")
     n = len(z)
     diffs = z[None, :] - z[:, None]  # diffs[j, i] = z_i - z_j
     off_diag = ~np.eye(n, dtype=bool)
@@ -156,8 +156,7 @@ def diff_matrix(nodes, weights):
     D[i, j] = (w_j / w_i) / (z_i - z_j) off the diagonal; the diagonal is the
     negative row sum so constants differentiate to exactly zero.
     """
-    z = np.asarray(nodes, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    z, w = as_floats(nodes, "nodes"), as_floats(weights, "weights")
     dz = z[:, None] - z[None, :]
     np.fill_diagonal(dz, 1.0)
     d = (w[None, :] / w[:, None]) / dz
@@ -166,9 +165,9 @@ def diff_matrix(nodes, weights):
     return d
 
 
-def _read_only(values):
+def _read_only(values, what):
     """A float copy of values that no caller can write: a read-only view of a read-only base."""
-    base = np.array(values, dtype=float)
+    base = np.array(as_floats(values, what))
     base.setflags(write=False)
     return base.view()
 
@@ -194,7 +193,7 @@ class NodeSet:
 
     def __post_init__(self):
         for name in ("nodes", "weights", "d1", "d2"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
+            object.__setattr__(self, name, _read_only(getattr(self, name), name))
 
 
 def make_node_set(kind, n):

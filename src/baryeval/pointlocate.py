@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .element import ElementEvaluator
-from .errors import ConfigError, InvalidInputError, SingularCollapseError
-from .shapes import Shape, centroid, contains_batch, contains_point, dim_of, spec_for
+from .errors import ConfigError, InvalidInputError, SingularCollapseError, as_floats
+from .shapes import Shape, _finite_floats, centroid, contains_batch, contains_point, spec_for
 
 
 # Stationarity tolerance (times max(1, |target|)), Armijo constant and
@@ -78,9 +78,9 @@ def project_into_region(shape, xi):
     feasible candidates are region points, none nearer than p, so the nearest
     is p.  A point that is not finite is refused.
     """
-    xi = np.array(xi, dtype=float)
+    xi = as_floats(xi, "point")
     if contains_point(shape, xi, 1e-12):
-        return xi
+        return xi.copy()
     if not np.isfinite(xi).all():
         raise InvalidInputError(f"cannot project the non-finite point {xi}")
     maps, shifts = spec_for(shape).faces
@@ -89,23 +89,12 @@ def project_into_region(shape, xi):
     return cands[np.where(feasible, ((cands - xi) ** 2).sum(axis=1), np.inf).argmin()]
 
 
-def _coordinates(shape, value, what):
-    """value as d finite floats; anything else is refused."""
-    d = dim_of(shape)
-    try:
-        x = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        x = None
-    if x is None or x.shape != (d,) or not np.isfinite(x).all():
-        raise InvalidInputError(f"{what} must be {d} finite coordinates, got {value!r}")
-    return x
-
-
 def locate(problem):
     """Run the projected Gauss-Newton search; see module docstring."""
     shape = problem.shape
     cfg = problem.config
-    target = _coordinates(shape, problem.target, "target")
+    spec = spec_for(shape)
+    target = np.array(_finite_floats(spec, problem.target, "target"))
     coords = ElementEvaluator(shape, problem.basis, tuple(problem.coord_fields))
     mid = centroid(shape)
 
@@ -118,7 +107,7 @@ def locate(problem):
         r = res.value - target
         return 0.5 * float(r @ r), res.d1, r, xi  # res.d1 rows are grad X_i
 
-    xi = mid if cfg.init is None else _coordinates(shape, cfg.init, "init")
+    xi = mid if cfg.init is None else _finite_floats(spec, cfg.init, "init")
     fval, jac, r, xi = evaluate(project_into_region(shape, xi))
     history, iterations = [], 0
     tol = GRAD_TOL * max(1.0, float(np.linalg.norm(target)))

@@ -42,18 +42,23 @@ extrapolate.
 The formulas are written twice over the table: on Python floats for single
 points, where array dispatch would cost more than the arithmetic, and on
 NumPy columns for batches.  Inputs are checked once, here: a point by
-`_floats`, a batch by `_rows`, a basis for a shape by `_check_basis`.
+`_floats`, a batch by `_rows`, a basis for a shape by `_check_basis`.  A
+point or batch that does not read as real numbers (`errors.as_floats`) or
+has the wrong shape raises InvalidInputError.  A non-finite point is outside
+every region (`contains_point` is False, `collapse` raises OutOfRegionError);
+`expand` and `jacobian` refuse it (`_finite_floats`).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, OutOfRegionError, SingularCollapseError
+from .errors import InvalidInputError, OutOfRegionError, SingularCollapseError, as_floats
 
 # A collapse denominator smaller than this is treated as singular.
 SINGULAR_TOL = 1e-12
@@ -234,12 +239,20 @@ def exactness_contains(shape, k, alpha):
 # ---------------------------------------------------------------------------
 
 
-def _floats(spec, xi):
+def _floats(spec, xi, what="point"):
     """xi, of shape (d,) (a scalar on a segment), as a list of d floats."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    xi = np.atleast_1d(as_floats(xi, what))
     if xi.shape != (spec.dim,):
-        raise InvalidInputError(f"point has shape {xi.shape}, shape needs ({spec.dim},)")
+        raise InvalidInputError(f"{what} has shape {xi.shape}, shape needs ({spec.dim},)")
     return xi.tolist()
+
+
+def _finite_floats(spec, xi, what="point"):
+    """`_floats`, refusing a coordinate that is NaN or infinite."""
+    x = _floats(spec, xi, what)
+    if not all(map(math.isfinite, x)):
+        raise InvalidInputError(f"{what} {x} is not finite")
+    return x
 
 
 def _inside(spec, x, tol):
@@ -263,19 +276,6 @@ def _collapse(spec, x):
     return [-1.0 if e < -1.0 else 1.0 if e > 1.0 else e for e in eta]
 
 
-def _factors(spec, eta):
-    """(a, C(a), J[a, a], J[a, b] for b in C(a)) per collapsed axis at eta."""
-    out = []
-    for a, chain, _ in spec.chains:
-        den = 2.0
-        for b in chain:
-            den *= 0.5 * (1.0 - eta[b])
-        if abs(den) < SINGULAR_TOL:
-            raise SingularCollapseError(f"collapse singular at eta={np.asarray(eta)}")
-        out.append((a, chain, 2.0 / den, (1.0 + eta[a]) / den))
-    return out
-
-
 def _chain_rule(spec, eta, geta):
     """Region-space gradient J^T geta from the cube-space gradient geta.
 
@@ -283,10 +283,15 @@ def _chain_rule(spec, eta, geta):
     it, which the descending order of the chains guarantees.
     """
     out = list(geta)
-    for a, chain, diag, off in _factors(spec, eta):
+    for a, chain, _ in spec.chains:
+        den = 2.0
+        for b in chain:
+            den *= 0.5 * (1.0 - eta[b])
+        if abs(den) < SINGULAR_TOL:
+            raise SingularCollapseError(f"collapse singular at eta={np.asarray(eta)}")
         g = geta[a]
-        out[a] = diag * g
-        off *= g
+        out[a] = 2.0 / den * g
+        off = (1.0 + eta[a]) / den * g
         for b in chain:
             out[b] += off
     return out
@@ -325,21 +330,18 @@ def jacobian(shape, eta):
     """Jacobian d(eta_i)/d(xi_j) of the collapse map, expressed in eta.
 
     Well defined only away from singular faces (every collapse denominator at
-    least SINGULAR_TOL in magnitude).
+    least SINGULAR_TOL in magnitude).  Row i of J is J^T e_i, so the rows are
+    `_chain_rule` applied to the unit rows.
     """
     spec = SHAPE_SPECS[shape]
-    jac = np.eye(spec.dim)
-    for a, chain, diag, off in _factors(spec, _floats(spec, eta)):
-        jac[a, a] = diag
-        for b in chain:
-            jac[a, b] = off
-    return jac
+    eta = _finite_floats(spec, eta)
+    return np.array([_chain_rule(spec, eta, row) for row in np.eye(spec.dim).tolist()])
 
 
 def expand(shape, eta):
     """Map cube coordinates eta to region coordinates xi (inverse of collapse)."""
     spec = SHAPE_SPECS[shape]
-    return expand_batch(shape, [_floats(spec, eta)])[0]
+    return expand_batch(shape, [_finite_floats(spec, eta)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +360,7 @@ def _denominators(spec, x):
 
 
 def _rows(spec, pts):
-    pts = np.asarray(pts, dtype=float)
+    pts = as_floats(pts, "points")
     if pts.ndim != 2 or pts.shape[1] != spec.dim:
         raise InvalidInputError(
             f"points have shape {pts.shape}, shape needs (M, {spec.dim})"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollocationError, InvalidInputError
+from .errors import CollocationError, InvalidInputError, as_floats
 from .kernel import SNAP_TOL, EvalResult, _axis_rows, _reduce_lines, counters
 from .nodes import _read_only
 
@@ -43,16 +43,18 @@ class TensorBasis:
         return math.prod(self.counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldValues:
-    """Read-only copy of the field samples on the tensor grid, flat, dimension-1 fastest."""
+    """Read-only copy of finite field samples on the tensor grid, flat, dimension-1 fastest."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _read_only(self.data))
+        object.__setattr__(self, "data", _read_only(self.data, "field samples"))
         if self.data.ndim != 1:
             raise InvalidInputError(f"field samples must be 1-D, got shape {self.data.shape}")
+        if not np.isfinite(self.data).all():
+            raise InvalidInputError("field samples must be finite")
 
     def __len__(self):
         return len(self.data)
@@ -70,7 +72,7 @@ def eta_grid(basis):
 def sample_on_grid(basis, func):
     """Sample func(eta) on the tensor grid into FieldValues."""
     pts = eta_grid(basis)
-    return FieldValues(np.array([func(p) for p in pts]))
+    return FieldValues([func(p) for p in pts])
 
 
 def _check_field(basis, field):
@@ -82,11 +84,11 @@ def _check_field(basis, field):
 
 
 def _query(basis, field, eta):
-    """The field check, then eta as a (d,) array; any other shape is refused."""
+    """The field check, then eta as a (d,) array of finite floats; anything else is refused."""
     _check_field(basis, field)
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if eta.shape != (basis.dim,):
-        raise InvalidInputError(f"point has shape {eta.shape}, basis needs ({basis.dim},)")
+    eta = np.atleast_1d(as_floats(eta, "point"))
+    if eta.shape != (basis.dim,) or not np.isfinite(eta).all():
+        raise InvalidInputError(f"point must be {basis.dim} finite coordinates, got {eta}")
     return eta
 
 
@@ -150,8 +152,6 @@ def multi_bary_direct(basis, fieldvalues, eta):
     Slow O(N) oracle for tensor_evaluate; undefined on grid lines.
     """
     eta = _query(basis, fieldvalues, eta)
-    if not np.isfinite(eta).all():
-        raise InvalidInputError(f"query point {eta} is not finite")
     per_axis = []
     for q, ax in enumerate(basis.axes):
         if np.abs(ax.nodes - eta[q]).min() <= SNAP_TOL:

@@ -4,8 +4,14 @@ Each input rule has one owner: `nodes` checks node kinds and sizes,
 `tensor` checks fields and cube points, `shapes` checks bases for a shape
 and region points, one or a batch, and `pointlocate` a target and a start.
 Every entry point that takes such an input goes through that check, so
-each row below names an entry point and an input its owner refuses.
+each row of `CASES` names an entry point and an input its owner refuses.
+Every caller-supplied number is read by one helper, `errors.as_floats`, so
+each entry point of `READERS` turns anything NumPy cannot read as real
+numbers into a BaryevalError, and returns finite numbers for the rest.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,23 +20,30 @@ from baryeval import (
     BaryevalError,
     ElementEvaluator,
     FieldValues,
+    InvalidInputError,
     LocateConfig,
     LocateProblem,
     NodeKind,
+    OutOfRegionError,
     Shape,
     TensorBasis,
     apply_operator,
     bary_evaluate,
     basis_for_order,
     build_operator,
+    cardinal_values,
+    collapse,
+    contains_point,
+    expand,
+    jacobian,
     locate,
     make_node_set,
     multi_bary_direct,
     sample_field,
+    sample_on_grid,
     tensor_evaluate,
 )
 from baryeval.pointlocate import project_into_region
-from baryeval.shapes import collapse, contains_point, jacobian
 
 TRI = basis_for_order(Shape.TRI, 3)  # N = 25
 QUAD = basis_for_order(Shape.QUAD, 3)
@@ -41,6 +54,9 @@ TRI_EVAL = ElementEvaluator(Shape.TRI, TRI, FIELD)
 OPERATOR = build_operator(Shape.TRI, TRI, [[-0.5, -0.5]])
 COLUMN = [[-0.5], [-0.5]]  # a (d, 1) point
 COORDS = tuple(sample_field(Shape.TRI, TRI, lambda xi, q=q: xi[q]) for q in range(2))
+QUAD_FIELD = sample_field(Shape.QUAD, QUAD, lambda xi: xi[0] - 2.0 * xi[1])
+AXIS = TRI.axes[0]  # five GLL nodes
+LINE = [-1.0, 0.0, 1.0]
 
 
 def _column_field():
@@ -85,3 +101,119 @@ CASES = {
 def test_malformed_input_is_refused(case):
     with pytest.raises(BaryevalError, match="list" if "list" in case else None):
         CASES[case]()
+
+
+# Each entry point that reads a point, a batch, samples or a scalar
+# coordinate, as (call on that one input, a well-formed value of it).
+READERS = {
+    "contains_point": (lambda x: contains_point(Shape.TRI, x, 1e-10), [-0.5, -0.2]),
+    "collapse": (lambda x: collapse(Shape.TRI, x), [-0.5, -0.2]),
+    "expand": (lambda x: expand(Shape.TRI, x), [0.1, 0.2]),
+    "jacobian": (lambda x: jacobian(Shape.TRI, x), [0.1, 0.2]),
+    "phys_evaluate": (lambda x: TRI_EVAL.phys_evaluate(x, gradient=True), [-0.5, -0.2]),
+    "phys_evaluate, fields": (lambda x: ElementEvaluator(Shape.TRI, TRI, COORDS).phys_evaluate(
+        x, gradient=True), [-0.5, -0.2]),
+    "phys_evaluate_1d": (lambda x: SEGMENT.phys_evaluate_1d(x, deriv=2), 0.3),
+    "tensor_evaluate": (lambda x: tensor_evaluate(QUAD, QUAD_FIELD, x, gradient=True), [0.1, 0.2]),
+    "multi_bary_direct": (lambda x: multi_bary_direct(QUAD, QUAD_FIELD, x), [0.1, 0.2]),
+    "build_operator": (lambda x: build_operator(Shape.TRI, TRI, x, want_derivs=True),
+                       [[-0.5, -0.2], [0.1, -0.6]]),
+    "project_into_region": (lambda x: project_into_region(Shape.TRI, x), [0.5, 0.5]),
+    "locate, target": (lambda x: locate(LocateProblem(Shape.TRI, TRI, COORDS, x)), [-0.5, -0.2]),
+    "locate, init": (lambda x: locate(LocateProblem(Shape.TRI, TRI, COORDS, [-0.5, -0.2],
+                                                    LocateConfig(init=x))), [0.1, -0.6]),
+    "FieldValues": (FieldValues, [1.0, -2.0, 0.5]),
+    "sample_field": (lambda x: sample_field(Shape.TRI, TRI, lambda xi: x), 0.5),
+    "sample_on_grid": (lambda x: sample_on_grid(QUAD, lambda eta: x), 0.5),
+    "bary_evaluate, values": (lambda x: bary_evaluate(AXIS, x, 0.1, 2), [1.0, 2.0, 0.5, 0.3, 0.1]),
+    "bary_evaluate, eta": (lambda x: bary_evaluate(AXIS, np.ones(5), x, 2), 0.1),
+    "cardinal_values, nodes": (lambda x: cardinal_values(x, [0.1, 0.2]), LINE),
+    "cardinal_values, eta": (lambda x: cardinal_values(LINE, x), [0.1, 0.2]),
+}
+
+
+def _first(good, x):
+    """good with its first number replaced by x."""
+    out = np.array(good, dtype=object)
+    out.flat[0] = x
+    return out.tolist()
+
+
+def _object_array(good):
+    out = np.array(good, dtype=object)
+    out.flat[0] = object()
+    return out
+
+
+# Malformed forms of a well-formed input.
+MALFORMED = {
+    "non-numeric string": lambda good: _first(good, "a"),
+    "complex number": lambda good: _first(good, 1 + 1j),
+    "complex array": lambda good: np.asarray(good) + 1j,
+    "dict": lambda good: {"x": good},
+    "ragged list": lambda good: [[0.1, 0.2], [0.3]],
+    "object array": _object_array,
+    "wrong shape": lambda good: [good],
+    "NaN": lambda good: _first(good, math.nan),
+    "+inf": lambda good: _first(good, math.inf),
+    "-inf": lambda good: _first(good, -math.inf),
+}
+
+
+def _finite(result):
+    """Whether every number in a result (arrays, floats, dataclass fields) is finite."""
+    if dataclasses.is_dataclass(result):
+        return all(_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, (tuple, list)):
+        return all(map(_finite, result))
+    if isinstance(result, (np.ndarray, np.number, float, int)):
+        return bool(np.isfinite(result).all())
+    return True  # enums and None
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_well_formed_input_is_read(reader):
+    call, good = READERS[reader]
+    assert _finite(call(good))
+
+
+# A NumPy warning (say, a complex value cast to real) must not stand in for a refusal.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("form", MALFORMED)
+@pytest.mark.parametrize("reader", READERS)
+def test_malformed_input_is_refused_or_read_as_finite_numbers(reader, form):
+    call, good = READERS[reader]
+    try:
+        result = call(MALFORMED[form](good))
+    except BaryevalError:
+        return
+    assert _finite(result)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: jacobian(Shape.TRI, [math.nan, 0.0]),
+    lambda: expand(Shape.TRI, [math.nan, 0.0]),
+    lambda: FieldValues([1.0, math.nan]),
+    lambda: bary_evaluate(AXIS, [1.0, 2.0, math.inf, 0.3, 0.1], 0.1),
+    lambda: bary_evaluate(AXIS, np.ones(5), math.nan),
+])
+def test_non_finite_input_is_refused(call):
+    with pytest.raises(InvalidInputError, match="finite"):
+        call()
+
+
+def test_booleans_numeric_strings_and_none_read_as_numpy_reads_them():
+    """True is 1.0, "0.1" is 0.1 and None is NaN, which meets the finite rules."""
+    assert (tensor_evaluate(QUAD, QUAD_FIELD, [True, False]).value
+            == tensor_evaluate(QUAD, QUAD_FIELD, [1.0, 0.0]).value)
+    assert np.array_equal(collapse(Shape.TRI, ["-0.5", "-0.2"]), collapse(Shape.TRI, [-0.5, -0.2]))
+    assert (bary_evaluate(AXIS, np.ones(5), "0.1").value
+            == bary_evaluate(AXIS, np.ones(5), 0.1).value)
+    assert not contains_point(Shape.TRI, [None, 0.0], 1e-10)
+    with pytest.raises(OutOfRegionError):
+        collapse(Shape.TRI, [None, 0.0])
+    for call in (lambda: jacobian(Shape.TRI, [None, 0.0]),
+                 lambda: FieldValues([None, 1.0]),
+                 lambda: bary_evaluate(AXIS, np.ones(5), None)):
+        with pytest.raises(InvalidInputError, match="finite"):
+            call()

@@ -212,3 +212,9 @@ def test_field_values_copy_the_callers_samples():
     assert field.data[0] == 1.0
     with pytest.raises(ValueError):
         field.data.setflags(write=True)
+
+
+def test_field_values_compare_and_hash_by_identity():
+    f, g = FieldValues(np.ones(25)), FieldValues(np.ones(25))
+    assert f == f and f != g
+    assert len({f, g, f}) == 2
