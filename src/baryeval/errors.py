@@ -18,7 +18,7 @@ class DegenerateNodesError(BaryevalError, ValueError):
 
 
 class ConvergenceError(BaryevalError, RuntimeError):
-    """An internal iteration (e.g. Newton root finding) failed to converge."""
+    """A computed node set failed its safety check: the nodes are not strictly ascending."""
 
 
 class CollocationError(BaryevalError, ValueError):
@@ -33,18 +33,25 @@ class InvalidInputError(BaryevalError, ValueError):
 _FLOAT64 = np.dtype(float)
 
 
+def _holds_complex(x):
+    """Whether object array x holds a complex number or array, also inside an array it holds."""
+    return any(_holds_complex(v) if isinstance(v, np.ndarray) and v.dtype.kind == "O"
+               else np.iscomplexobj(v) for v in x.flat)
+
+
 def as_floats(value, what):
     """value as a float array, read as `np.asarray(value, dtype=float)` reads it.
 
     True is 1.0, "0.1" is 0.1 and None is NaN.  What does not read as real
     numbers (a non-numeric string, a complex number, a dict, a ragged list, an
-    object array of these) raises InvalidInputError naming `what`.  Shape and
-    finiteness rules belong to the module that owns the input.
+    object array of these, NumPy complex scalars among them) raises
+    InvalidInputError naming `what`.  Shape and finiteness rules belong to
+    the module that owns the input.
     """
     try:
         x = np.asarray(value)
         if x.dtype is not _FLOAT64:
-            if x.dtype.kind == "c":
+            if x.dtype.kind == "c" or (x.dtype.kind == "O" and _holds_complex(x)):
                 raise TypeError  # a cast would drop the imaginary part with only a warning
             x = x.astype(float)
         return x

@@ -7,6 +7,12 @@ Node families supported on [-1, 1]:
 * Chebyshev-Gauss-Lobatto,
 * equispaced.
 
+The free nodes of both Gauss families are roots of a Jacobi polynomial,
+computed as the eigenvalues of its symmetric tridiagonal Jacobi matrix
+(Golub & Welsch 1969): the n - 2 interior GLL nodes are the roots of
+P_{n-2}^(1,1), made exactly antisymmetric about 0, and the n - 1 Radau nodes
+after -1 are the roots of P_{n-1}^(0,1).
+
 The barycentric weights follow
 
     w_j = 1 / prod_{i != j} (z_i - z_j)
@@ -27,11 +33,10 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateNodesError, InvalidSizeError, as_floats
+from .errors import (
+    ConvergenceError, DegenerateNodesError, InvalidInputError, InvalidSizeError, as_floats)
 
 MAX_NODES = 64
-NEWTON_TOL = 1e-14
-NEWTON_MAX_ITERS = 100
 
 
 class NodeKind(enum.Enum):
@@ -41,71 +46,18 @@ class NodeKind(enum.Enum):
     EQUISPACED = "equi"
 
 
-def _legendre_pair(m, x):
-    """Evaluate (P_{m-1}, P_m) at x with the three-term recurrence."""
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if m == 0:
-        return np.zeros_like(x), p_prev
-    p = x.copy()
-    for j in range(1, m):
-        p, p_prev = ((2 * j + 1) * x * p - j * p_prev) / (j + 1), p
-    return p_prev, p
+def _jacobi_roots(m, a, b):
+    """The m roots of the Jacobi polynomial P_m^(a,b), ascending.
 
-
-def _legendre_derivatives(m, x):
-    """P_m, P'_m and P''_m at interior points (|x| < 1)."""
-    p_prev, p = _legendre_pair(m, x)
-    omx2 = 1.0 - x * x
-    dp = m * (p_prev - x * p) / omx2
-    ddp = (2.0 * x * dp - m * (m + 1) * p) / omx2
-    return p, dp, ddp
-
-
-def _newton(guesses, fun):
-    """Vectorized Newton iteration; fun(x) returns (f, f')."""
-    x = np.array(guesses, dtype=float)
-    for _ in range(NEWTON_MAX_ITERS):
-        f, df = fun(x)
-        step = f / df
-        x -= step
-        if np.max(np.abs(step)) <= NEWTON_TOL:
-            return x
-    raise ConvergenceError(
-        "Newton iteration for interpolation nodes did not converge "
-        f"(tol={NEWTON_TOL}, max_iters={NEWTON_MAX_ITERS})"
-    )
-
-
-def _gll_nodes(n):
-    """Endpoints plus the roots of P'_{n-1}."""
-    if n == 2:
-        return np.array([-1.0, 1.0])
-    m = n - 1
-    # Chebyshev-Gauss-Lobatto interior points as initial guesses.
-    guesses = -np.cos(np.pi * np.arange(1, n - 1) / m)
-
-    def fun(x):
-        _, dp, ddp = _legendre_derivatives(m, x)
-        return dp, ddp
-
-    interior = _newton(guesses, fun)
-    return np.concatenate(([-1.0], interior, [1.0]))
-
-
-def _gauss_radau_minus_nodes(n):
-    """-1 plus the roots of (P_{n-1}(x) + P_n(x)) / (1 + x)."""
-    m = n - 1
-    # Mirrored Chebyshev-Radau angles land close to the Legendre-Radau roots.
-    guesses = -np.cos(2.0 * np.pi * np.arange(1, n) / (2 * n - 1))
-
-    def fun(x):
-        pm1, dpm1, _ = _legendre_derivatives(m, x)
-        pm, dpm, _ = _legendre_derivatives(n, x)
-        return pm1 + pm, dpm1 + dpm
-
-    interior = _newton(guesses, fun)
-    return np.concatenate(([-1.0], interior))
+    They are the eigenvalues of its symmetric tridiagonal Jacobi matrix, the
+    three-term recurrence of the orthonormal polynomials (Golub & Welsch 1969).
+    """
+    k = np.arange(m, dtype=float)
+    s = 2.0 * k + a + b
+    diag = (b * b - a * a) / (s * (s + 2.0))
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def _check(kind, n):
@@ -125,9 +77,10 @@ def generate_nodes(kind, n):
     """Generate n strictly ascending interpolation nodes in [-1, 1]."""
     n = _check(kind, n)
     if kind == NodeKind.GAUSS_LOBATTO_LEGENDRE:
-        nodes = _gll_nodes(n)
+        z = _jacobi_roots(n - 2, 1.0, 1.0)
+        nodes = np.concatenate(([-1.0], 0.5 * (z - z[::-1]), [1.0]))  # exactly antisymmetric
     elif kind == NodeKind.GAUSS_RADAU_MINUS:
-        nodes = _gauss_radau_minus_nodes(n)
+        nodes = np.concatenate(([-1.0], _jacobi_roots(n - 1, 0.0, 1.0)))
     elif kind == NodeKind.CHEBYSHEV_GAUSS_LOBATTO:
         nodes = -np.cos(np.pi * np.arange(n) / (n - 1))
         nodes[0], nodes[-1] = -1.0, 1.0
@@ -138,9 +91,19 @@ def generate_nodes(kind, n):
     return nodes
 
 
+def _line(values, what):
+    """values as a 1-D array of finite floats, refusing any other shape, a NaN or an inf."""
+    x = as_floats(values, what)
+    if x.ndim != 1:
+        raise InvalidInputError(f"{what} must be 1-D, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise InvalidInputError(f"{what} must be finite")
+    return x
+
+
 def bary_weights(nodes):
     """Barycentric weights w_j = 1 / prod_{i != j}(z_i - z_j)."""
-    z = as_floats(nodes, "nodes")
+    z = _line(nodes, "nodes")
     n = len(z)
     diffs = z[None, :] - z[:, None]  # diffs[j, i] = z_i - z_j
     off_diag = ~np.eye(n, dtype=bool)
@@ -156,7 +119,9 @@ def diff_matrix(nodes, weights):
     D[i, j] = (w_j / w_i) / (z_i - z_j) off the diagonal; the diagonal is the
     negative row sum so constants differentiate to exactly zero.
     """
-    z, w = as_floats(nodes, "nodes"), as_floats(weights, "weights")
+    z, w = _line(nodes, "nodes"), _line(weights, "weights")
+    if w.shape != z.shape:
+        raise InvalidInputError(f"{len(z)} nodes need {len(z)} weights, got {len(w)}")
     dz = z[:, None] - z[None, :]
     np.fill_diagonal(dz, 1.0)
     d = (w[None, :] / w[:, None]) / dz

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CollocationError, InvalidInputError, as_floats
 from .kernel import SNAP_TOL, EvalResult, _axis_rows, _reduce_lines, counters
-from .nodes import _read_only
+from .nodes import NodeSet, _line, _read_only
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,8 @@ class TensorBasis:
     axes: tuple
 
     def __post_init__(self):
+        if not (isinstance(self.axes, tuple) and all(isinstance(a, NodeSet) for a in self.axes)):
+            raise InvalidInputError(f"basis axes must be a tuple of NodeSets, got {self.axes!r}")
         if not 1 <= len(self.axes) <= 3:
             raise InvalidInputError(f"dimension must be 1..3, got {len(self.axes)}")
 
@@ -50,11 +52,8 @@ class FieldValues:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _read_only(self.data, "field samples"))
-        if self.data.ndim != 1:
-            raise InvalidInputError(f"field samples must be 1-D, got shape {self.data.shape}")
-        if not np.isfinite(self.data).all():
-            raise InvalidInputError("field samples must be finite")
+        samples = _line(self.data, "field samples")
+        object.__setattr__(self, "data", _read_only(samples, "field samples"))
 
     def __len__(self):
         return len(self.data)

@@ -1,8 +1,9 @@
 """Malformed fields, bases and points are refused with a BaryevalError.
 
-Each input rule has one owner: `nodes` checks node kinds and sizes,
-`tensor` checks fields and cube points, `shapes` checks bases for a shape
-and region points, one or a batch, and `pointlocate` a target and a start.
+Each input rule has one owner: `nodes` checks node kinds, sizes and arrays,
+`tensor` checks basis axes, fields and cube points, `shapes` checks bases
+for a shape and region points, one or a batch, and `pointlocate` a target
+and a start.
 Every entry point that takes such an input goes through that check, so
 each row of `CASES` names an entry point and an input its owner refuses.
 Every caller-supplied number is read by one helper, `errors.as_floats`, so
@@ -29,11 +30,13 @@ from baryeval import (
     TensorBasis,
     apply_operator,
     bary_evaluate,
+    bary_weights,
     basis_for_order,
     build_operator,
     cardinal_values,
     collapse,
     contains_point,
+    diff_matrix,
     expand,
     jacobian,
     locate,
@@ -88,6 +91,10 @@ CASES = {
     "bary_evaluate, eta of shape (1,)":
         lambda: bary_evaluate(TRI.axes[0], np.ones(5), np.array([0.1])),
     "make_node_set, size 5.0": lambda: make_node_set(NodeKind.GAUSS_LOBATTO_LEGENDRE, 5.0),
+    "diff_matrix, two weights for three nodes": lambda: diff_matrix(LINE, [0.5, -1.0]),
+    "TensorBasis, integer axes": lambda: TensorBasis((1, 2)),
+    "TensorBasis, a node array as an axis": lambda: TensorBasis((AXIS, AXIS.nodes)),
+    "TensorBasis, an integer": lambda: TensorBasis(5),
     "basis_for_order, order 2.5": lambda: basis_for_order(Shape.TRI, 2.5),
     "locate, non-numeric target":
         lambda: locate(LocateProblem(Shape.TRI, TRI, COORDS, ["a", 0])),
@@ -129,20 +136,22 @@ READERS = {
     "bary_evaluate, eta": (lambda x: bary_evaluate(AXIS, np.ones(5), x, 2), 0.1),
     "cardinal_values, nodes": (lambda x: cardinal_values(x, [0.1, 0.2]), LINE),
     "cardinal_values, eta": (lambda x: cardinal_values(LINE, x), [0.1, 0.2]),
+    "bary_weights": (bary_weights, LINE),
+    "diff_matrix, nodes": (lambda x: diff_matrix(x, [0.5, -1.0, 0.5]), LINE),
+    "diff_matrix, weights": (lambda x: diff_matrix(LINE, x), [0.5, -1.0, 0.5]),
 }
+
+
+def _object_array(good, x):
+    """good as an object array with its first number replaced by x."""
+    out = np.array(good, dtype=object)
+    out.flat[0] = x
+    return out
 
 
 def _first(good, x):
     """good with its first number replaced by x."""
-    out = np.array(good, dtype=object)
-    out.flat[0] = x
-    return out.tolist()
-
-
-def _object_array(good):
-    out = np.array(good, dtype=object)
-    out.flat[0] = object()
-    return out
+    return _object_array(good, x).tolist()
 
 
 # Malformed forms of a well-formed input.
@@ -152,7 +161,8 @@ MALFORMED = {
     "complex array": lambda good: np.asarray(good) + 1j,
     "dict": lambda good: {"x": good},
     "ragged list": lambda good: [[0.1, 0.2], [0.3]],
-    "object array": _object_array,
+    "object array": lambda good: _object_array(good, object()),
+    "object array of NumPy complex": lambda good: _object_array(good, np.complex128(1 + 1j)),
     "wrong shape": lambda good: [good],
     "NaN": lambda good: _first(good, math.nan),
     "+inf": lambda good: _first(good, math.inf),
