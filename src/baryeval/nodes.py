@@ -124,6 +124,10 @@ def diff_matrix(nodes, weights):
         raise InvalidInputError(f"{len(z)} nodes need {len(z)} weights, got {len(w)}")
     dz = z[:, None] - z[None, :]
     np.fill_diagonal(dz, 1.0)
+    if not dz.all():
+        raise DegenerateNodesError("interpolation nodes contain duplicates")
+    if not w.all():
+        raise DegenerateNodesError("barycentric weights contain a zero")
     d = (w[None, :] / w[:, None]) / dz
     np.fill_diagonal(d, 0.0)
     np.fill_diagonal(d, -d.sum(axis=1))
@@ -139,7 +143,11 @@ def _read_only(values, what):
 
 @dataclass(frozen=True, eq=False)
 class NodeSet:
-    """Read-only copies of nodes, barycentric weights and derivative matrices; `==` is `is`."""
+    """Read-only copies of nodes, barycentric weights and derivative matrices; `==` is `is`.
+
+    The arrays are checked against each other: the kernel bisects the nodes
+    and divides by the weights.
+    """
 
     kind: NodeKind
     nodes: np.ndarray
@@ -157,8 +165,24 @@ class NodeSet:
         return tuple(self.nodes.tolist()), tuple(self.weights.tolist())
 
     def __post_init__(self):
-        for name in ("nodes", "weights", "d1", "d2"):
-            object.__setattr__(self, name, _read_only(getattr(self, name), name))
+        """Refuse nodes that are not strictly ascending, weights that are not
+        one nonzero number per node, and d1 or d2 that is not (n, n); every
+        array must be finite."""
+        z, w = _line(self.nodes, "nodes"), _line(self.weights, "weights")
+        n = len(z)
+        if np.any(np.diff(z) <= 0.0):
+            raise InvalidInputError(f"nodes must be strictly ascending, got {z}")
+        if w.shape != z.shape or not w.all():
+            raise InvalidInputError(f"{n} nodes need {n} nonzero weights, got {w}")
+        arrays = {"nodes": z, "weights": w}
+        for name in ("d1", "d2"):
+            m = as_floats(getattr(self, name), name)
+            if m.shape != (n, n) or not np.isfinite(m).all():
+                raise InvalidInputError(
+                    f"{name} must be a finite ({n}, {n}) array, got shape {m.shape}")
+            arrays[name] = m
+        for name, values in arrays.items():
+            object.__setattr__(self, name, _read_only(values, name))
 
 
 def make_node_set(kind, n):

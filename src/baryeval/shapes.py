@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, OutOfRegionError, SingularCollapseError, as_floats
+from .tensor import _check_tensor_basis
 
 # A collapse denominator smaller than this is treated as singular.
 SINGULAR_TOL = 1e-12
@@ -209,7 +210,9 @@ def ancestors(shape, q):
 
 def _check_basis(shape, basis):
     """The spec of shape, refusing a basis of another dimension, or with a node
-    at +1 on an `along` axis (the collapse singularity)."""
+    at +1 on an `along` axis (the collapse singularity), or that is not a
+    TensorBasis."""
+    _check_tensor_basis(basis)
     spec = SHAPE_SPECS[shape]
     if basis.dim != spec.dim:
         raise InvalidInputError(

@@ -59,9 +59,15 @@ class FieldValues:
         return len(self.data)
 
 
+def _check_tensor_basis(basis):
+    """Refuse anything but a TensorBasis."""
+    if not isinstance(basis, TensorBasis):
+        raise InvalidInputError(f"a basis must be a TensorBasis, got {type(basis).__name__}")
+
+
 def eta_grid(basis):
     """All grid points as an (N, d) array in field ordering."""
-    counts = basis.counts
+    _check_tensor_basis(basis)
     axes_1d = [ax.nodes for ax in basis.axes]
     # Reversed meshgrid so that dimension 1 varies fastest in the flat order.
     mesh = np.meshgrid(*axes_1d[::-1], indexing="ij")[::-1]
@@ -75,7 +81,9 @@ def sample_on_grid(basis, func):
 
 
 def _check_field(basis, field):
-    """Refuse anything but a FieldValues with one sample per node of basis."""
+    """Refuse a basis that is not a TensorBasis, and anything but a FieldValues
+    with one sample per node of basis."""
+    _check_tensor_basis(basis)
     if not isinstance(field, FieldValues):
         raise InvalidInputError(f"a field must be FieldValues, got {type(field).__name__}")
     if len(field.data) != basis.size:

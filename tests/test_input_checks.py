@@ -25,6 +25,7 @@ from baryeval import (
     LocateConfig,
     LocateProblem,
     NodeKind,
+    NodeSet,
     OutOfRegionError,
     Shape,
     TensorBasis,
@@ -37,6 +38,7 @@ from baryeval import (
     collapse,
     contains_point,
     diff_matrix,
+    eta_grid,
     expand,
     jacobian,
     locate,
@@ -101,7 +103,47 @@ CASES = {
     "locate, non-numeric init":
         lambda: locate(LocateProblem(Shape.TRI, TRI, COORDS, [-0.5, -0.5],
                                      LocateConfig(init=["a", 0]))),
+    # refused before the fields are hashed as a cache key
+    "locate, coordinate arrays":
+        lambda: locate(LocateProblem(Shape.TRI, TRI, tuple(f.data for f in COORDS), [-0.5, -0.5])),
+    "locate, integer coordinates":
+        lambda: locate(LocateProblem(Shape.TRI, TRI, (1, 2), [-0.5, -0.5])),
+    "locate, an integer as coord_fields":
+        lambda: locate(LocateProblem(Shape.TRI, TRI, 5, [-0.5, -0.5])),
+    "locate, one coordinate field for a triangle":
+        lambda: locate(LocateProblem(Shape.TRI, TRI, COORDS[:1], [-0.5, -0.5])),
+    "NodeSet, two weights for three nodes":
+        lambda: NodeSet(NodeKind.EQUISPACED, LINE, [0.5, -1.0], np.eye(3), np.eye(3)),
+    "NodeSet, nodes out of order":
+        lambda: NodeSet(NodeKind.EQUISPACED, [-1.0, 1.0, 0.0], [0.5, 0.5, -1.0],
+                        np.eye(3), np.eye(3)),
+    "NodeSet, a repeated node":
+        lambda: NodeSet(NodeKind.EQUISPACED, [-1.0, 0.0, 0.0], [1.0, 1.0, 1.0],
+                        np.eye(3), np.eye(3)),
+    "NodeSet, a zero weight":
+        lambda: NodeSet(NodeKind.EQUISPACED, LINE, [0.5, 0.0, 0.5], np.eye(3), np.eye(3)),
+    "NodeSet, (2, 2) d1":
+        lambda: NodeSet(NodeKind.EQUISPACED, LINE, [0.5, -1.0, 0.5], np.eye(2), np.eye(3)),
+    "NodeSet, (3, 2) d2":
+        lambda: NodeSet(NodeKind.EQUISPACED, LINE, [0.5, -1.0, 0.5], np.eye(3), np.ones((3, 2))),
+    "diff_matrix, a repeated node": lambda: diff_matrix([-1.0, 0.0, 0.0, 1.0], np.ones(4)),
+    "diff_matrix, a zero weight": lambda: diff_matrix(LINE, [0.5, 0.0, 0.5]),
 }
+
+# Every entry point that takes a basis refuses one that is not a TensorBasis.
+NOT_A_BASIS = {"[1, 2]": [1, 2], "None": None, "a tuple of node sets": TRI.axes}
+BASIS_TAKERS = {
+    "ElementEvaluator": lambda b: ElementEvaluator(Shape.TRI, b, FIELD),
+    "build_operator": lambda b: build_operator(Shape.TRI, b, [[-0.5, -0.5]]),
+    "sample_field": lambda b: sample_field(Shape.TRI, b, lambda xi: 1.0),
+    "sample_on_grid": lambda b: sample_on_grid(b, lambda eta: 1.0),
+    "eta_grid": eta_grid,
+    "tensor_evaluate": lambda b: tensor_evaluate(b, FIELD, [0.1, 0.2]),
+    "multi_bary_direct": lambda b: multi_bary_direct(b, FIELD, [0.1, 0.2]),
+    "locate": lambda b: locate(LocateProblem(Shape.TRI, b, COORDS, [-0.5, -0.5])),
+}
+CASES.update({f"{name}, basis {what}": lambda call=call, basis=basis: call(basis)
+              for name, call in BASIS_TAKERS.items() for what, basis in NOT_A_BASIS.items()})
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -139,6 +181,10 @@ READERS = {
     "bary_weights": (bary_weights, LINE),
     "diff_matrix, nodes": (lambda x: diff_matrix(x, [0.5, -1.0, 0.5]), LINE),
     "diff_matrix, weights": (lambda x: diff_matrix(LINE, x), [0.5, -1.0, 0.5]),
+    "NodeSet, nodes": (lambda x: NodeSet(NodeKind.EQUISPACED, x, [0.5, -1.0, 0.5],
+                                         np.eye(3), np.eye(3)), LINE),
+    "NodeSet, d1": (lambda x: NodeSet(NodeKind.EQUISPACED, LINE, [0.5, -1.0, 0.5],
+                                      x, np.eye(3)), np.eye(3).tolist()),
 }
 
 

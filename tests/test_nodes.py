@@ -4,6 +4,7 @@ from scipy.special import roots_jacobi
 
 from baryeval import (
     DegenerateNodesError,
+    InvalidInputError,
     InvalidSizeError,
     NodeKind,
     NodeSet,
@@ -121,6 +122,17 @@ def test_weight_signs_alternate(kind, n):
 def test_duplicate_nodes_rejected():
     with pytest.raises(DegenerateNodesError):
         bary_weights([-1.0, 0.0, 0.0, 1.0])
+
+
+# A division by zero must not stand in for a refusal.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nodes, weights", [
+    ([-1.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0]),
+    ([-1.0, 0.0, 1.0], [0.5, 0.0, 0.5]),
+])
+def test_diff_matrix_refuses_duplicate_nodes_and_zero_weights(nodes, weights):
+    with pytest.raises(DegenerateNodesError):
+        diff_matrix(nodes, weights)
 
 
 def test_diff_matrix_examples():
@@ -247,3 +259,17 @@ def test_node_set_copies_the_arrays_it_is_given():
         assert a.flags.writeable
         a[0] = 7.0
         assert np.array_equal(getattr(own, name), getattr(ns, name))
+
+
+def test_node_set_refuses_arrays_that_disagree():
+    # Two weights for three nodes used to build, and tensor_evaluate on that
+    # set returned 2.1304... for the linear field whose value is 2.3.
+    eye = np.eye(3)
+    for arrays in (([-1.0, 0.0, 1.0], [0.5, -1.0], eye, eye),
+                   ([-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], eye, eye),
+                   ([-1.0, 0.0, 1.0], [0.5, 0.0, 0.5], eye, eye),
+                   ([-1.0, 0.0, 1.0], [0.5, -1.0, 0.5], np.eye(2), eye),
+                   ([-1.0, 0.0, 1.0], [0.5, -1.0, 0.5], eye, np.full((3, 3), np.inf))):
+        with pytest.raises(InvalidInputError):
+            NodeSet(NodeKind.EQUISPACED, *arrays)
+

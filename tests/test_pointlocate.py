@@ -13,7 +13,8 @@ from baryeval import (
     sample_field,
 )
 from baryeval.fields import random_interior_point
-from baryeval.pointlocate import ARMIJO_C, project_into_region
+from baryeval.pointlocate import (
+    ARMIJO_C, CACHE_SIZE, _element, _newton_direction, project_into_region)
 from baryeval.shapes import centroid, contains_point, dim_of, spec_for
 
 
@@ -165,6 +166,11 @@ def test_one_evaluation_per_point_for_all_coordinate_maps(shape, monkeypatch):
     assert len(calls) == 1 + trials
     assert set(calls) == {(d,)}
     assert all(g is True for g in gradients)
+    # A second target in the same element reuses the start evaluation.
+    calls.clear()
+    again = locate(LocateProblem(shape, basis, fields, target, cfg))
+    assert again.history == res.history
+    assert len(calls) == trials
 
 
 def _quadratic_map(d, rng, amplitude):
@@ -302,3 +308,71 @@ def test_locate_refuses_malformed_points(target, init):
 def test_projection_refuses_non_finite_points(xi):
     with pytest.raises(InvalidInputError):
         project_into_region(Shape.TRI, xi)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_a_cache_hit_returns_the_cold_result_bit_for_bit(shape):
+    d = dim_of(shape)
+    rng = np.random.default_rng(list(Shape).index(shape))
+    basis = basis_for_order(shape, 5)
+    x_of = _quadratic_map(d, rng, 0.3)
+    fields = tuple(
+        sample_field(shape, basis, lambda xi, i=i: float(x_of(xi)[i])) for i in range(d)
+    )
+    direction = rng.normal(size=d)
+    targets = [x_of(random_interior_point(shape, rng)) for _ in range(3)]
+    targets.append(x_of(centroid(shape)) + 10.0 * direction / np.linalg.norm(direction))
+    cfg = LocateConfig(keep_history=True)
+    for target in targets:
+        problem = LocateProblem(shape, basis, fields, target, cfg)
+        _element.cache_clear()
+        cold = locate(problem)
+        hit = locate(problem)
+        assert _element.cache_info().hits == 1
+        assert np.array_equal(cold.xi, hit.xi)
+        assert (cold.iterations, cold.residual, cold.converged, cold.history) == (
+            hit.iterations, hit.residual, hit.converged, hit.history)
+
+
+def test_the_element_cache_keeps_its_bound():
+    basis = basis_for_order(Shape.SEGMENT, 1)
+    _element.cache_clear()
+    for k in range(CACHE_SIZE + 3):
+        fields = (sample_field(Shape.SEGMENT, basis, lambda xi, k=k: float(xi[0]) + k),)
+        assert locate(LocateProblem(Shape.SEGMENT, basis, fields, [k + 0.5])).converged
+    assert _element.cache_info().currsize == CACHE_SIZE
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_form_newton_direction_matches_solve(d):
+    rng = np.random.default_rng(d)
+    for _ in range(200):
+        jac = 10.0 ** rng.uniform(-3, 3) * (np.eye(d) + 0.3 * rng.uniform(-1, 1, (d, d)))
+        r = rng.normal(size=d)
+        want = -np.linalg.solve(jac, r)
+        got = np.array(_newton_direction(jac.tolist(), r.tolist()))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("jac", [
+    [[0.0]],
+    [[1.0, 2.0], [2.0, 4.0]],
+    [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]],
+])
+def test_singular_jacobian_has_no_newton_direction(jac):
+    assert _newton_direction(jac, [1.0] * len(jac)) is None
+
+
+def test_singular_jacobian_takes_steepest_descent():
+    # X = (2 xi_1, 0): the second row of J is exactly zero, so the first step
+    # is along -J^T r, with slope -|J^T r|^2 = -(2 * 0.6)^2, where a
+    # Gauss-Newton step would have slope -|r|^2 = -0.36.
+    shape = Shape.QUAD
+    basis = basis_for_order(shape, 3)
+    fields = (sample_field(shape, basis, lambda xi: 2.0 * float(xi[0])),
+              sample_field(shape, basis, lambda xi: 0.0))
+    res = locate(LocateProblem(shape, basis, fields, [0.6, 0.0], LocateConfig(keep_history=True)))
+    assert res.history[0][3] == pytest.approx(-1.44, rel=1e-12)
+    assert res.converged
+    assert res.xi[0] == pytest.approx(0.3, abs=1e-9)
+
