@@ -1,9 +1,9 @@
 """Malformed fields, bases and points are refused with a BaryevalError.
 
 Each input rule has one owner: `nodes` checks node kinds, sizes and arrays,
-`tensor` checks basis axes, fields and cube points, `shapes` checks bases
-for a shape and region points, one or a batch, and `pointlocate` a target
-and a start.
+`tensor` checks that a basis is a TensorBasis, basis axes, fields and cube
+points, `shapes` checks bases for a shape and region points, one or a batch,
+and `pointlocate` a target, a start and the number of coordinate fields.
 Every entry point that takes such an input goes through that check, so
 each row of `CASES` names an entry point and an input its owner refuses.
 Every caller-supplied number is read by one helper, `errors.as_floats`, so
