@@ -53,7 +53,7 @@ from .fields import benchmark_field, random_interior_point
 from .kernel import _reduce_lines
 from .lagrange import build_operator
 from .nodes import MAX_NODES, make_node_set
-from .shapes import Shape, _chain_rule, _collapse, dim_of, shape_from_name, spec_for
+from .shapes import ALL_SHAPES, Shape, _chain_rule, _collapse, dim_of, shape_from_name, spec_for
 from .tensor import TensorBasis, _contract
 
 METHOD_BARY = "bary"
@@ -307,11 +307,8 @@ def _check_order(order):
         )
 
 
-def run_bench(shapes=None, orders=None, reps=None, seed=0, methods=METHODS,
-              quantities=None, crosscheck=True):
+def run_bench(shapes=None, orders=None, reps=None, seed=0, methods=METHODS, quantities=None):
     """Time all requested cells; returns a list of BenchRecord."""
-    from .shapes import ALL_SHAPES
-
     shapes = list(shapes) if shapes else list(ALL_SHAPES)
     orders = list(orders) if orders else list(range(2, 21))
     for order in orders:
@@ -334,18 +331,13 @@ def run_bench(shapes=None, orders=None, reps=None, seed=0, methods=METHODS,
                     method: _SWEEPS[method](evaluator, points, quantity)
                     for method in methods
                 }
-                if crosscheck:
-                    extra = np.array(
-                        [random_interior_point(shape, rng, margin=0.01,
-                                               singular_margin=0.05)
-                         for _ in range(5)]
-                    )
-                    check_sweeps = {
-                        name: _SWEEPS[name](evaluator, extra, quantity)
-                        for name in sweeps
-                    }
-                    _crosscheck(evaluator, extra, check_sweeps, quantity)
-                    _crosscheck(evaluator, points, sweeps, quantity)
+                extra = np.array([random_interior_point(shape, rng, margin=0.01,
+                                                        singular_margin=0.05)
+                                  for _ in range(5)])
+                check_sweeps = {name: _SWEEPS[name](evaluator, extra, quantity)
+                                for name in sweeps}
+                _crosscheck(evaluator, extra, check_sweeps, quantity)
+                _crosscheck(evaluator, points, sweeps, quantity)
                 for method, sweep in sweeps.items():
                     mean_ns, std_ns = _time_sweep(sweep, cell_reps)
                     records.append(
@@ -369,7 +361,6 @@ def scaling_cells_1d():
             recs = run_bench(
                 shapes=[Shape.SEGMENT], orders=[order], reps=150,
                 methods=(METHOD_BARY, METHOD_RECOMPUTED), quantities=(Q_VALUE,),
-                crosscheck=False,
             )
             for r in recs:
                 key = (r.method, order)
@@ -380,18 +371,13 @@ def scaling_cells_1d():
     }
 
 
-def write_csv(records, stream):
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in records:
-        writer.writerow([r.shape, r.order, r.method, r.quantity,
-                         r.sample_points, r.reps,
-                         f"{r.mean_ns:.3f}", f"{r.stddev_ns:.3f}"])
-
-
 def csv_text(records):
     buf = io.StringIO()
-    write_csv(records, buf)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for r in records:
+        writer.writerow([r.shape, r.order, r.method, r.quantity, r.sample_points, r.reps,
+                         f"{r.mean_ns:.3f}", f"{r.stddev_ns:.3f}"])
     return buf.getvalue()
 
 
@@ -451,8 +437,6 @@ def speedup_csv(records):
 def parse_shapes(text):
     """Parse a CLI shape list ('all' or comma-separated names)."""
     if text.strip().lower() == "all":
-        from .shapes import ALL_SHAPES
-
         return list(ALL_SHAPES)
     return [shape_from_name(part.strip()) for part in text.split(",") if part.strip()]
 

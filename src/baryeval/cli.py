@@ -75,31 +75,28 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
+def _emit(text, out, what):
+    """Write text to the file out, saying that `what` was written there, or to stdout."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+        print(f"wrote {what} to {out}")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def _cmd_bench(args):
     shapes = bench_mod.parse_shapes(args.shapes)
     orders = bench_mod.parse_orders(args.orders)
     records = bench_mod.run_bench(shapes, orders, reps=args.reps, seed=args.seed)
-    text = bench_mod.csv_text(records)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(records)} records to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(bench_mod.csv_text(records), args.out, f"{len(records)} records")
 
 
 def _cmd_speedup(args):
     with open(args.infile) as fh:
         records = bench_mod.read_csv(fh)
-    text = bench_mod.speedup_csv(records)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote speedup table to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(bench_mod.speedup_csv(records), args.out, "speedup table")
 
 
 def _cmd_locate(args):

@@ -58,7 +58,8 @@ def basis_for_order(shape, order):
 
 
 def xi_grid(shape, basis):
-    """The basis grid mapped into the reference region, field ordering."""
+    """The grid of a basis for shape mapped into the reference region, field ordering."""
+    _check_basis(shape, basis)
     return expand_batch(shape, eta_grid(basis))
 
 

@@ -32,6 +32,7 @@ reduces its one line with `_reduce_lines`.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import mul as _mul
@@ -40,6 +41,7 @@ from operator import truediv as _div
 import numpy as np
 
 from .errors import InvalidInputError, as_floats
+from .nodes import _line
 
 # Cube coordinates within this distance of a node are collocated with it and
 # snapped onto it.  Collapse arithmetic perturbs grid-point preimages by a few
@@ -206,11 +208,11 @@ def bary_evaluate(nodeset, values, eta, deriv=0):
     second.  All requested quantities come from one set of cardinal rows,
     applied on floats by `_reduce_lines`.
     """
-    if deriv not in (0, 1, 2):
-        raise InvalidInputError(f"derivative order must be 0, 1 or 2, got {deriv}")
-    v = as_floats(values, "values")
-    if v.shape != (nodeset.n,) or not np.isfinite(v).all():
-        raise InvalidInputError(f"values must be {nodeset.n} finite numbers, got {v}")
+    if not isinstance(deriv, numbers.Integral) or deriv not in (0, 1, 2):
+        raise InvalidInputError(f"derivative order must be the integer 0, 1 or 2, got {deriv!r}")
+    v = _line(values, "values")
+    if len(v) != nodeset.n:
+        raise InvalidInputError(f"values must be {nodeset.n} numbers, got {len(v)}")
     e = as_floats(eta, "eta")
     if e.ndim or not math.isfinite(e):
         raise InvalidInputError(f"eta must be a finite real scalar, got {eta!r}")

@@ -24,17 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, OutOfRegionError, SingularCollapseError, as_floats
+from .errors import OutOfRegionError, SingularCollapseError, as_floats
+from .nodes import _line
 from .shapes import REGION_TOL, _check_basis, collapse_batch, contains_batch, jacobian_entries
 from .tensor import _check_field
 
 
 def cardinal_values(nodes, etas):
     """Cardinal Lagrange values l_j(eta) for all j at each finite eta, (M, n)."""
-    z, etas = as_floats(nodes, "nodes"), np.atleast_1d(as_floats(etas, "eta"))
-    if z.ndim != 1 or etas.ndim != 1 or not (np.isfinite(z).all() and np.isfinite(etas).all()):
-        raise InvalidInputError(f"nodes {z} and etas {etas} must be finite, in one dimension")
-    return _cardinal_values(z, etas)
+    etas = _line(np.atleast_1d(as_floats(etas, "eta")), "eta")
+    return _cardinal_values(_line(nodes, "nodes"), etas)
 
 
 def _cardinal_values(z, etas):

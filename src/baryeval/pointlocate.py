@@ -41,6 +41,7 @@ which leaves the steepest-descent fallback to an exactly zero det J.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -69,8 +70,13 @@ class LocateConfig:
     keep_history: bool = False
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be positive, got {self.max_iters}")
+        try:
+            max_iters = operator.index(self.max_iters)
+        except TypeError:
+            max_iters = 0
+        if max_iters < 1:
+            raise ConfigError(f"max_iters must be a positive integer, got {self.max_iters!r}")
+        object.__setattr__(self, "max_iters", max_iters)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,10 @@ from .nodes import NodeSet, _line, _read_only
 
 @dataclass(frozen=True)
 class TensorBasis:
-    """Per-dimension node sets defining a tensor grid (d = 1, 2 or 3)."""
+    """Per-dimension node sets defining a tensor grid (d = 1, 2 or 3).
+
+    `counts` and `size` are computed on first use; `==` and the hash read `axes` only.
+    """
 
     axes: tuple
 
@@ -36,11 +40,11 @@ class TensorBasis:
     def dim(self):
         return len(self.axes)
 
-    @property
+    @cached_property
     def counts(self):
         return tuple(ax.n for ax in self.axes)
 
-    @property
+    @cached_property
     def size(self):
         return math.prod(self.counts)
 
@@ -102,6 +106,8 @@ def _query(basis, field, eta):
 def _contract(basis, data, eta, gradient):
     """Values, and with `gradient` cube-space gradients, of one or F fields at eta.
 
+    `gradient` is read by its truth value, as `build_operator` reads `want_derivs`.
+
     data is one field, (N,), or F fields, (F, N), one per row, in field
     ordering.  The contraction runs one axis at a time, dimension 1 first,
     over the parts held so far (value, d/deta_1, ..., d/deta_{q-1} of every
@@ -118,7 +124,7 @@ def _contract(basis, data, eta, gradient):
     """
     parts = data
     eta = list(eta)
-    deriv = int(gradient)
+    deriv = 1 if gradient else 0
     one = data.ndim == 1
     for q, ax in enumerate(basis.axes[:-1] if one else basis.axes):
         rows, eta[q] = _axis_rows(ax, eta[q], deriv)
@@ -130,7 +136,7 @@ def _contract(basis, data, eta, gradient):
         # parts followed by the l'-reduced value part are a prefix of it (all
         # of it on axis 1).
         parts = rows @ lines.T
-        if gradient and q:
+        if deriv and q:
             parts = parts.ravel()[:len(lines) + len(lines) // (q + 1)]
     if not one:
         return parts.reshape(-1, len(data)), eta

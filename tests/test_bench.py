@@ -5,6 +5,7 @@ import pytest
 
 from baryeval import (ALL_SHAPES, ElementEvaluator, InvalidInputError, ReportError, Shape,
                       basis_for_order, sample_field)
+from baryeval import bench
 from baryeval.bench import (
     METHOD_BARY,
     METHOD_CACHED,
@@ -21,6 +22,7 @@ from baryeval.bench import (
     quantities_for,
     read_csv,
     run_bench,
+    scaling_cells_1d,
     sampling_points,
     speedup_csv,
     speedup_report,
@@ -44,7 +46,7 @@ def test_quantities_per_dimension():
 def test_record_layout_and_csv_round_trip(tmp_path):
     records = run_bench(shapes=[Shape.SEGMENT], orders=list(range(2, 21)),
                         reps=1, methods=(METHOD_BARY, METHOD_CACHED),
-                        quantities=(Q_VALUE,), crosscheck=False)
+                        quantities=(Q_VALUE,))
     assert len(records) == 19 * 2  # 19 orders x 2 methods, value quantity
     text = csv_text(records)
     lines = text.strip().split("\n")
@@ -160,6 +162,37 @@ def test_speedup_report():
         speedup_report([rec(METHOD_BARY, 100.0)])
     with pytest.raises(ReportError):
         speedup_report([])
+    with pytest.raises(ReportError, match="no bary/matrix_recomputed"):
+        speedup_report([rec(METHOD_CACHED, 100.0)])
+
+
+class _OffByOne:
+    """A sweep of `method` whose values are 1 more than the real sweep's."""
+
+    def __init__(self, method):
+        self.sweep = bench._SWEEPS[method]
+
+    def __call__(self, evaluator, points, quantity):
+        sweep = self.sweep(evaluator, points, quantity)
+
+        def shifted():
+            values, grads, d2s = sweep()
+            return values + 1.0, grads, d2s
+        return shifted
+
+
+@pytest.mark.parametrize("method", [METHOD_BARY, METHOD_CACHED, METHOD_RECOMPUTED])
+def test_run_bench_refuses_a_sweep_that_disagrees(monkeypatch, method):
+    monkeypatch.setitem(bench._SWEEPS, method, _OffByOne(method))
+    with pytest.raises(InvalidInputError, match=f"method {method} disagrees"):
+        run_bench(shapes=[Shape.TRI], orders=[3], reps=1)
+
+
+def test_scaling_cells_are_cross_checked(monkeypatch):
+    # the scaling cells time two methods; each is checked before it is timed
+    monkeypatch.setitem(bench._SWEEPS, METHOD_RECOMPUTED, _OffByOne(METHOD_RECOMPUTED))
+    with pytest.raises(InvalidInputError, match=f"method {METHOD_RECOMPUTED} disagrees"):
+        scaling_cells_1d()
 
 
 def test_order_and_reps_validation():

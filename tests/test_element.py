@@ -25,7 +25,7 @@ from baryeval.fields import (
 )
 from baryeval.kernel import SNAP_TOL, counters
 from baryeval.shapes import SHAPE_SPECS, SINGULAR_TOL, centroid, collapse, dim_of, expand
-from baryeval.tensor import TensorBasis
+from baryeval.tensor import TensorBasis, tensor_evaluate
 
 GLL = NodeKind.GAUSS_LOBATTO_LEGENDRE
 RADAU = NodeKind.GAUSS_RADAU_MINUS
@@ -401,3 +401,30 @@ def test_bases_compare_and_hash_by_their_shared_node_sets(shape):
     assert all(a is b for a, b in zip(basis.axes, basis_for_order(shape, 3).axes))
     assert basis != basis_for_order(shape, 4)
     assert {basis: shape}[basis_for_order(shape, 3)] is shape
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_gradient_is_read_as_a_truth_value(shape):
+    # every reader of `gradient` takes its truth value: a truthy flag returns
+    # what True returns and a falsy one what False returns, bit for bit
+    rng = np.random.default_rng(7)
+    basis = basis_for_order(shape, 3)
+    fields = tuple(sample_field(shape, basis, lambda xi, c=c: np.sin(c + 2.0 * np.sum(xi)))
+                   for c in range(3))
+    evaluators = (ElementEvaluator(shape, basis, fields[0]),
+                  ElementEvaluator(shape, basis, fields))
+    for xi in [random_interior_point(shape, rng, margin=0.01, singular_margin=0.05)
+               for _ in range(4)]:
+        eta = collapse(shape, xi)
+        for flags, ref in (((2, 0.5, "yes", np.True_), True), ((0, 0.0, "", None), False)):
+            calls = [lambda g, ev=ev: ev.phys_evaluate(xi, gradient=g) for ev in evaluators]
+            calls.append(lambda g: tensor_evaluate(basis, fields[0], eta, gradient=g))
+            for call in calls:
+                want = call(ref)
+                for flag in flags:
+                    got = call(flag)
+                    assert np.array_equal(got.value, want.value), (flag, xi)
+                    if ref:
+                        assert np.array_equal(got.d1, want.d1), (flag, xi)
+                    else:
+                        assert got.d1 is None, (flag, xi)

@@ -39,6 +39,7 @@ from baryeval import (
     contains_point,
     diff_matrix,
     eta_grid,
+    exactness_contains,
     expand,
     jacobian,
     locate,
@@ -128,6 +129,20 @@ CASES = {
         lambda: NodeSet(NodeKind.EQUISPACED, LINE, [0.5, -1.0, 0.5], np.eye(3), np.ones((3, 2))),
     "diff_matrix, a repeated node": lambda: diff_matrix([-1.0, 0.0, 0.0, 1.0], np.ones(4)),
     "diff_matrix, a zero weight": lambda: diff_matrix(LINE, [0.5, 0.0, 0.5]),
+    "bary_evaluate, deriv 1.0 at a node": lambda: bary_evaluate(AXIS, np.ones(5), 0.0, 1.0),
+    "phys_evaluate_1d, deriv 2.0 off a node": lambda: SEGMENT.phys_evaluate_1d(0.3, deriv=2.0),
+    "LocateConfig, max_iters 2.5": lambda: LocateConfig(max_iters=2.5),
+    "LocateConfig, max_iters '3'": lambda: LocateConfig(max_iters="3"),
+    "LocateConfig, max_iters None": lambda: LocateConfig(max_iters=None),
+    "LocateConfig, max_iters 0": lambda: LocateConfig(max_iters=0),
+    "sample_field, quad basis on a triangle":
+        lambda: sample_field(Shape.TRI, QUAD, lambda xi: 1.0),
+    "sample_field, quad basis on a tet": lambda: sample_field(Shape.TET, QUAD, lambda xi: 1.0),
+    "sample_field, hex basis on a prism":
+        lambda: sample_field(Shape.PRISM, basis_for_order(Shape.HEX, 3), lambda xi: 1.0),
+    "basis_for_order, order -1": lambda: basis_for_order(Shape.TRI, -1),
+    "exactness_contains, three exponents for a triangle":
+        lambda: exactness_contains(Shape.TRI, 3, [1, 0, 0]),
 }
 
 # Every entry point that takes a basis refuses one that is not a TensorBasis.

@@ -218,3 +218,12 @@ def test_field_values_compare_and_hash_by_identity():
     f, g = FieldValues(np.ones(25)), FieldValues(np.ones(25))
     assert f == f and f != g
     assert len({f, g, f}) == 2
+
+
+def test_counts_and_size_are_computed_once():
+    # cached on first use; equality and the hash still read the axes only
+    a, b = _basis([3, 4, 5]), _basis([3, 4, 5])
+    assert a.counts == (3, 4, 5) and a.size == 60
+    assert a.size is a.size and a.counts is a.counts
+    assert a == b and hash(a) == hash(b)
+    assert a != _basis([3, 4, 6])
