@@ -20,8 +20,9 @@ for vectorizing over the points to be representative):
 
 * `bary` evaluates point by point through collapse and
   `tensor._contract`, the contraction that `ElementEvaluator.phys_evaluate`
-  runs: every axis but the last is one product with the kernel's cardinal
-  rows l and l', and the last lines are reduced on Python floats.  A 1D
+  runs, on the evaluator's stage-1 matrix: every axis but the last is one
+  product with the kernel's unnormalised cardinal rows l and l', the last
+  lines are reduced on Python floats, and one scale per point normalises.  A 1D
   point reduces its one line with `kernel._reduce_lines`, p'' included.
   Like the rebuilt-matrix sweep it skips the region test, which the sampling
   points pass by construction;
@@ -157,14 +158,14 @@ class _BarySweep:
     def __init__(self, evaluator, points, quantity):
         self.spec = spec_for(evaluator.shape)
         self.basis = evaluator.basis
-        self.data = evaluator.field.data
+        self.data = evaluator._samples
         self.pts = [tuple(map(float, p)) for p in np.atleast_2d(points)]
         self.deriv = 2 if quantity == Q_VALUE_D1_D2 else int(quantity != Q_VALUE)
 
     def __call__(self):
         spec, basis, data, deriv = self.spec, self.basis, self.data, self.deriv
         if basis.dim == 1:
-            ax, lines = basis.axes[0], [data.tolist()]
+            ax, lines = basis.axes[0], [data.ravel().tolist()]
             p = []
             for (e,) in self.pts:
                 p += _reduce_lines(ax, e, deriv, lines)[0]
@@ -173,7 +174,7 @@ class _BarySweep:
         values = []
         grads = []
         for xi in self.pts:
-            p, eta = _contract(basis, data, _collapse(spec, xi), deriv)
+            p, eta = _contract(basis, data, _collapse(spec, xi), deriv, True)
             values.append(p[0])
             if deriv:
                 grads.append(_chain_rule(spec, eta, p[1:]))

@@ -4,8 +4,8 @@ An ElementEvaluator owns a shape, a tensor basis and one field, or several
 fields, sampled on the shape's grid.  Evaluation collapses the query point to
 cube coordinates, contracts the samples of every field with one set of
 per-axis cardinal rows there (`tensor._contract`, the one per-point
-contraction, which the timed bench sweep runs too), and maps gradients back
-with the collapse Jacobian:
+contraction, which the timed bench sweep runs too) with one normalisation
+per point, and maps gradients back with the collapse Jacobian:
 
     grad_xi p = J^T grad_eta p,    J[i, j] = d(eta_i)/d(xi_j).
 
@@ -32,7 +32,7 @@ from .kernel import SNAP_TOL, EvalResult, bary_evaluate  # noqa: F401 (re-export
 from .nodes import NodeKind, make_node_set
 from .shapes import REGION_TOL  # noqa: F401 (re-exported)
 from .shapes import Shape, _chain_rule, _check_basis, collapse_floats, expand_batch, spec_for
-from .tensor import FieldValues, TensorBasis, _check_field, _contract, eta_grid
+from .tensor import FieldValues, TensorBasis, _check_field, _contract, _stage1, eta_grid
 
 
 def axis_kinds(shape):
@@ -74,6 +74,11 @@ class ElementEvaluator:
     `field` is one FieldValues, or a tuple of F of them on the same basis.
     With one field a result holds a float value and a (d,) gradient; with a
     tuple it holds (F,) values and an (F, d) gradient, one row per field.
+
+    The evaluator keeps the samples once more, as a C-contiguous copy of
+    the (n1, F N / n1) matrix that stage 1 of `tensor._contract` multiplies
+    (`tensor._stage1`: column c is line c of the fields' samples, F fields
+    one after another).
     """
 
     def __init__(self, shape, basis, field):
@@ -88,7 +93,7 @@ class ElementEvaluator:
         self.basis = basis
         self.field = field
         self._single = single
-        self._data = field.data if single else np.stack([f.data for f in fields])
+        self._samples = _stage1(basis, np.stack([f.data for f in fields])).copy()
 
     @classmethod
     def for_order(cls, shape, order, func):
@@ -107,7 +112,7 @@ class ElementEvaluator:
         collapse branch; gradient queries there raise SingularCollapseError.
         """
         eta = collapse_floats(self.shape, xi)
-        parts, eta = _contract(self.basis, self._data, eta, gradient)
+        parts, eta = _contract(self.basis, self._samples, eta, gradient, self._single)
         if self._single:
             return EvalResult(parts[0], np.array(_chain_rule(self._spec, eta, parts[1:]))
                               if gradient else None)
@@ -123,4 +128,4 @@ class ElementEvaluator:
         if not self._single:
             raise InvalidInputError("phys_evaluate_1d evaluates a single field")
         (eta,) = collapse_floats(self.shape, xi)
-        return bary_evaluate(self.basis.axes[0], self._data, eta, deriv)
+        return bary_evaluate(self.basis.axes[0], self.field.data, eta, deriv)

@@ -19,14 +19,17 @@ formula above.
 floats, and `_reduce_lines` applies them to a few short lines, where array
 dispatch would cost more than the arithmetic.  `_axis_rows` returns the rows
 of one axis as a NumPy array, for an axis whose rows are applied to many
-lines in one product: [l; l'] as the rows of `_float_rows` times g, and l
-alone as the NumPy quotient (w / x) / sum(w / x), the same arithmetic as
-g t, which at high order costs less than turning float rows into an array.
-`tensor._contract`, the one per-point contraction behind
+lines in one product.  Its rows are unnormalised, returned with their scale
+g = 1 / sum(t): [t; l' / g], the rows of `_float_rows`, or t = w / x alone
+as a NumPy quotient, which at high order costs less than turning float rows
+into an array.  `tensor._contract`, the one per-point contraction behind
 `ElementEvaluator.phys_evaluate` and the timed bench sweep, takes the array
-for every axis but the last of one field (every axis of several fields) and
-reduces the last line of one field with `_reduce_lines`; `bary_evaluate`
-reduces its one line with `_reduce_lines`.
+for every axis but the last of one field (every axis of several fields),
+reduces the last line of one field with `_reduce_lines`, and normalises once
+per point, by the product of the axes' g, as the paper's tensor-product
+barycentric form divides once; `bary_evaluate` reduces its one line with
+`_reduce_lines`.  With |x| > SNAP_TOL an unnormalised value row holds at
+most max|w| / SNAP_TOL, so nothing overflows up to `nodes.MAX_NODES`.
 """
 
 from __future__ import annotations
@@ -101,31 +104,30 @@ def _nearest(z, e):
 
 
 def _axis_rows(ax, e, deriv):
-    """Cardinal rows of one axis at coordinate e, and e snapped onto a node.
+    """Unnormalised cardinal rows of one axis at e, their scale g, and e snapped.
 
-    Returns l as an (n,) array for deriv = 0, or [l; l'] as a (2, n) array
-    for deriv = 1.  l is the NumPy quotient (w / x) / sum(w / x); [l; l'] is
-    g times the rows of `_float_rows`, so l' has one source.  A collocated e
-    becomes the node, with the rows e_k and D[k].
+    Returns (rows, g, e): rows is t = w / x as an (n,) array for deriv = 0,
+    or the rows of `_float_rows` as a (2, n) array for deriv = 1, and l (and
+    l') are g times them, so l' has one source.  A collocated e becomes the
+    node, with the rows e_k and D[k] and g = 1.
     """
     z, w = ax.floats
     if deriv:
         k, g, rows = _float_rows(z, w, e, 1)
         if rows:
-            return g * np.array(rows), e
+            return np.array(rows), g, e
     else:
         k = _nearest(z, e)
         if abs(z[k] - e) > SNAP_TOL:
-            lv = ax.weights / (ax.nodes - e)
-            lv *= 1.0 / sum(lv.tolist())
+            t = ax.weights / (ax.nodes - e)
             if counters.enabled:
                 counters.divisions += ax.n + 1
-            return lv, e
+            return t, 1.0 / sum(t.tolist()), e
     rows = np.zeros((deriv + 1, ax.n))
     rows[0, k] = 1.0
     if deriv:
         rows[1] = ax.d1[k]
-    return rows if deriv else rows[0], z[k]
+    return rows if deriv else rows[0], 1.0, z[k]
 
 
 def _float_rows(z, w, e, deriv):
@@ -172,12 +174,13 @@ def _float_rows(z, w, e, deriv):
     return k, g, (t, l1, l2)
 
 
-def _reduce_lines(ax, e, deriv, lines):
+def _reduce_lines(ax, e, deriv, lines, scale=1.0):
     """Reduce float lines of samples along axis ax at e, on Python floats.
 
     `lines` is a list of n-long float lists.  Returns every line reduced with
     l, followed by lines[0] reduced with l' for deriv >= 1 and with l'' for
-    deriv = 2, as one list; and e, snapped onto its node when collocated.
+    deriv = 2, each times `scale`, as one list; and e, snapped onto its node
+    when collocated.
     """
     z, w = ax.floats
     k, g, rows = _float_rows(z, w, e, deriv)
@@ -187,12 +190,13 @@ def _reduce_lines(ax, e, deriv, lines):
     out = []
     if not rows:
         for line in lines:
-            out.append(line[k])
+            out.append(line[k] * scale)
         # one NumPy dot per row, so that a collocated query returns D[k] @ v
         # and D2[k] @ v to the bit
         for d in (ax.d1, ax.d2)[:deriv]:
-            out.append(float(d[k] @ lines[0]))
+            out.append(float(d[k] @ lines[0]) * scale)
         return out, z[k]
+    g *= scale
     t = rows[0]
     for line in lines:
         out.append(sum(map(_mul, t, line)) * g)

@@ -4,8 +4,10 @@ contraction, plus the direct multivariate barycentric form used as a slow oracle
 Field samples are stored flat with the dimension-1 index running fastest: the
 line for fixed (j2, j3) starts at offset (j3*n2 + j2)*n1.  `_contract` reduces
 them with the per-axis cardinal rows of the kernel, the one univariate formula
-of the package.  It is the one per-point contraction: `tensor_evaluate`,
-`ElementEvaluator.phys_evaluate` and the timed bench sweep all run it.
+of the package, unnormalised, and divides once per point by the product of
+the per-axis sums, as the direct form `multi_bary_direct` does.  It is the one
+per-point contraction: `tensor_evaluate`, `ElementEvaluator.phys_evaluate` and
+the timed bench sweep all run it.
 """
 
 from __future__ import annotations
@@ -103,45 +105,61 @@ def _query(basis, field, eta):
     return eta
 
 
-def _contract(basis, data, eta, gradient):
+def _stage1(basis, data):
+    """One field, (N,), or F fields, (F, N), as the (n1, F N / n1) matrix that
+    stage 1 of `_contract` multiplies, a transposed view: column c is line c."""
+    return data.reshape(-1, basis.counts[0]).T
+
+
+def _contract(basis, samples, eta, gradient, one):
     """Values, and with `gradient` cube-space gradients, of one or F fields at eta.
 
     `gradient` is read by its truth value, as `build_operator` reads `want_derivs`.
 
-    data is one field, (N,), or F fields, (F, N), one per row, in field
-    ordering.  The contraction runs one axis at a time, dimension 1 first,
-    over the parts held so far (value, d/deta_1, ..., d/deta_{q-1} of every
-    field, stacked in that order): every part is reduced with l, and the value
-    part alone also with l', which appends d/deta_q.  Every axis but the last
-    is one product with the rows of `kernel._axis_rows` over all lines.  On
-    the last axis one field leaves one short line, or d with gradients, which
-    `kernel._reduce_lines` reduces on Python floats; F fields leave F times
-    as many lines, and the last axis stays a product.
+    samples is the matrix of `_stage1`, with any strides; `ElementEvaluator`
+    keeps a C-contiguous copy, `tensor_evaluate` passes the view.  `one` says
+    that F = 1 and a list of floats is wanted.  The contraction
+    runs one axis at a time, dimension 1 first, over the parts held so far
+    (value, d/deta_1, ..., d/deta_{q-1} of every field, stacked in that
+    order): every part is reduced with the unnormalised rows of
+    `kernel._axis_rows`, and the value part alone also with its
+    unnormalised l' row, which appends d/deta_q.  Every axis but the last
+    is one product over all lines.  On the last axis one field leaves one
+    short line, or d with gradients, which `kernel._reduce_lines` reduces
+    on Python floats; F fields leave F times as many lines, and the last
+    axis stays a product.  The barycentric normalisation is applied once,
+    as the product G of the axes' scales g: inside `_reduce_lines`' multiply
+    per output for one field, as one product with the result for F fields.
 
     Returns the parts, a list of P floats for one field or a (P, F) array for
     F fields (P = 1, or 1 + d with gradients), and eta as a list with the
     coordinates within SNAP_TOL of a node snapped onto it.
     """
-    parts = data
     eta = list(eta)
     deriv = 1 if gradient else 0
-    one = data.ndim == 1
-    for q, ax in enumerate(basis.axes[:-1] if one else basis.axes):
-        rows, eta[q] = _axis_rows(ax, eta[q], deriv)
-        lines = parts.reshape(-1, ax.n)
+    counts = basis.counts
+    axes = basis.axes
+    scale = 1.0
+    parts = lines = samples
+    for q in range(len(counts) - 1 if one else len(counts)):
+        rows, g, eta[q] = _axis_rows(axes[q], eta[q], deriv)
+        scale *= g
+        if q:
+            lines = parts.reshape(-1, counts[q]).T
         if counters.enabled:
-            counters.kernel_calls += len(lines)
-            counters.per_call_nodes.extend([ax.n] * len(lines))
+            counters.kernel_calls += lines.shape[1]
+            counters.per_call_nodes.extend([counts[q]] * lines.shape[1])
         # Row r of `parts` is rows[r] applied to every line, so the l-reduced
         # parts followed by the l'-reduced value part are a prefix of it (all
         # of it on axis 1).
-        parts = rows @ lines.T
+        parts = rows @ lines
         if deriv and q:
-            parts = parts.ravel()[:len(lines) + len(lines) // (q + 1)]
+            m = lines.shape[1]
+            parts = parts.ravel()[:m + m // (q + 1)]
     if not one:
-        return parts.reshape(-1, len(data)), eta
-    last = basis.axes[-1]
-    parts, eta[-1] = _reduce_lines(last, eta[-1], deriv, parts.reshape(-1, last.n).tolist())
+        return parts.reshape(1 + deriv * len(counts), -1) * scale, eta
+    parts, eta[-1] = _reduce_lines(axes[-1], eta[-1], deriv,
+                                   parts.reshape(-1, counts[-1]).tolist(), scale)
     return parts, eta
 
 
@@ -155,7 +173,7 @@ def tensor_evaluate(basis, fieldvalues, eta, gradient=False):
     and n2*n3 + n3 + 1).
     """
     eta = _query(basis, fieldvalues, eta)
-    parts, _ = _contract(basis, fieldvalues.data, eta.tolist(), gradient)
+    parts, _ = _contract(basis, _stage1(basis, fieldvalues.data), eta.tolist(), gradient, True)
     return EvalResult(parts[0], np.array(parts[1:])) if gradient else EvalResult(parts[0])
 
 

@@ -24,7 +24,9 @@ from baryeval.fields import (
     singular_distance,
 )
 from baryeval.kernel import SNAP_TOL, counters
-from baryeval.shapes import SHAPE_SPECS, SINGULAR_TOL, centroid, collapse, dim_of, expand
+from baryeval.bench import Q_VALUE, Q_VALUE_D1, _BarySweep
+from baryeval.shapes import (
+    SHAPE_SPECS, SINGULAR_TOL, _chain_rule, centroid, collapse, collapse_floats, dim_of, expand)
 from baryeval.tensor import TensorBasis, tensor_evaluate
 
 GLL = NodeKind.GAUSS_LOBATTO_LEGENDRE
@@ -314,13 +316,25 @@ def _collocated_on_one_axis(shape, basis, rng):
     return pts
 
 
+def _snap(basis, eta):
+    """eta with each coordinate within SNAP_TOL of a node moved onto it."""
+    out = []
+    for ax, e in zip(basis.axes, eta):
+        k = int(np.argmin(np.abs(ax.nodes - e)))
+        out.append(float(ax.nodes[k]) if abs(ax.nodes[k] - e) <= SNAP_TOL else e)
+    return out
+
+
 @pytest.mark.parametrize("order", [3, 12])
 @pytest.mark.parametrize("shape", ALL_SHAPES)
 def test_one_field_agrees_with_a_field_tuple(shape, order):
-    # One field reduces its last line on Python floats, a tuple of fields
-    # with one more product of the same rows: values and gradients agree.
+    # The three callers of `tensor._contract` agree: `phys_evaluate` (one
+    # field reduces its last line on Python floats, a tuple of fields takes
+    # one more product of the same rows), `tensor_evaluate` (samples as a
+    # transposed view) and the bench's timed sweep (the evaluator's matrix).
     rng = np.random.default_rng(order)
     basis = basis_for_order(shape, order)
+    spec = SHAPE_SPECS[shape]
     fields = tuple(sample_field(shape, basis, lambda xi, c=c: np.sin(c + 2.0 * np.sum(xi))
                                 + c * xi[-1] ** 3) for c in range(3))
     multi = ElementEvaluator(shape, basis, fields)
@@ -328,15 +342,23 @@ def test_one_field_agrees_with_a_field_tuple(shape, order):
     kinds = _row_path_points(shape, basis, rng)
     pts = (kinds["scattered"] + kinds["snapped"] + kinds["near_node"]
            + _collocated_on_one_axis(shape, basis, rng))
-    for xi in pts:
+    sweeps = {gradient: [_BarySweep(ev, pts, Q_VALUE_D1 if gradient else Q_VALUE)()
+                         for ev in singles] for gradient in (False, True)}
+    for i, xi in enumerate(pts):
+        eta = collapse_floats(shape, xi)
         for gradient in (False, True):
             res = multi.phys_evaluate(xi, gradient=gradient)
             for f, ev in enumerate(singles):
                 one = ev.phys_evaluate(xi, gradient=gradient)
-                assert abs(one.value - res.value[f]) <= 1e-13 * max(1.0, abs(res.value[f]))
+                cube = tensor_evaluate(basis, fields[f], eta, gradient=gradient)
+                values, grads, _ = sweeps[gradient][f]
+                for got in (one.value, cube.value, values[i]):
+                    assert abs(got - res.value[f]) <= 1e-13 * max(1.0, abs(res.value[f])), xi
                 if gradient:
                     scale = max(1.0, np.max(np.abs(res.d1[f])))
-                    assert np.max(np.abs(one.d1 - res.d1[f])) <= 1e-13 * scale, xi
+                    chained = _chain_rule(spec, _snap(basis, eta), cube.d1.tolist())
+                    for got in (one.d1, np.array(chained), grads[i]):
+                        assert np.max(np.abs(got - res.d1[f])) <= 1e-13 * scale, xi
 
 
 def test_snapped_coordinates_reach_the_chain_rule():

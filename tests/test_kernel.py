@@ -221,7 +221,9 @@ def test_derivatives_next_to_a_node_seed_876():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_float_rows_match_axis_rows(kind):
     # the two forms of the one row formula, l and l', on the offset grid of
-    # the tests above: entry k of l' takes the cancellation-free form in both
+    # the tests above: entry k of l' takes the cancellation-free form in both,
+    # and l alone is the NumPy quotient.  Both return unnormalised rows and
+    # their scale g; g times the rows are compared.
     for n in (5, 12, 21):
         ns = make_node_set(kind, n)
         z, w = ns.floats
@@ -231,16 +233,18 @@ def test_float_rows_match_axis_rows(kind):
                 eta = float(node + off)
                 if abs(eta) > 1.0:
                     continue
-                want, snapped = _axis_rows(ns, eta, 1)
-                k, g, rows = _float_rows(z, w, eta, 1)
-                if not rows:
-                    assert snapped == z[k]
-                    assert np.array_equal(want[0], np.eye(n)[k])
-                    continue
-                assert snapped == eta
-                got = g * np.array(rows)
-                scale = np.abs(want).max(axis=1, keepdims=True)
-                assert np.all(np.abs(got - want) <= 1e-13 * scale), (n, node, off)
+                for deriv in (0, 1):
+                    rows, scale, snapped = _axis_rows(ns, eta, deriv)
+                    want = scale * np.atleast_2d(rows)
+                    k, g, rows = _float_rows(z, w, eta, deriv)
+                    if not rows:
+                        assert snapped == z[k] and scale == 1.0
+                        assert np.array_equal(want[0], np.eye(n)[k])
+                        continue
+                    assert snapped == eta
+                    got = g * np.array(rows)
+                    scale = np.abs(want).max(axis=1, keepdims=True)
+                    assert np.all(np.abs(got - want) <= 1e-13 * scale), (n, node, off)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

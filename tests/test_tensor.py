@@ -12,8 +12,8 @@ from baryeval import (
     sample_on_grid,
     tensor_evaluate,
 )
-from baryeval.kernel import counters
-from baryeval.tensor import eta_grid
+from baryeval.kernel import SNAP_TOL, counters
+from baryeval.tensor import _contract, eta_grid
 
 
 def _basis(counts, kinds=None):
@@ -113,6 +113,42 @@ def test_agreement_with_direct_form(counts, kinds):
         a = tensor_evaluate(basis, field, eta).value
         b = multi_bary_direct(basis, field, eta)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("counts,kind", [
+    ((64, 64), NodeKind.GAUSS_LOBATTO_LEGENDRE),
+    ((64, 64), NodeKind.EQUISPACED),
+    ((22, 22, 22), NodeKind.GAUSS_LOBATTO_LEGENDRE),
+], ids=["gll64-2d", "equi64-2d", "gll22-3d"])
+def test_deferred_scale_at_its_extremes(counts, kind):
+    # The rows stay unnormalised until one scale per point, so the products
+    # grow like max|w| / |x| per axis: up to 1e17 / 2e-12 (GLL) and 1e25 /
+    # 2e-12 (equispaced) here.  Values and gradients stay finite, one field
+    # and two fields alike, and values agree with the direct form within
+    # the tolerance of test_agreement_with_direct_form times kappa, the
+    # product over axes of sum|t| / |sum t| (t = w / x), which bounds the
+    # rounding of the per-axis sums.  kappa stays below 3 on these GLL
+    # bases; near the end nodes of 64 equispaced nodes it reaches 1e19, where
+    # no evaluation of that interpolant can be checked.
+    rng = np.random.default_rng(len(counts))
+    basis = _basis(counts, [kind] * len(counts))
+    field = FieldValues(rng.uniform(-1, 1, size=basis.size))
+    samples = np.stack([field.data, -field.data]).reshape(-1, counts[0]).T
+    for off in np.geomspace(2 * SNAP_TOL, 1e-3, 10):
+        for _ in range(8):
+            eta = np.array([ax.nodes[rng.integers(ax.n)] for ax in basis.axes])
+            eta -= off * np.where(eta > 0.0, 1.0, -1.0)
+            want = multi_bary_direct(basis, field, eta)
+            kappa = 1.0
+            for q, ax in enumerate(basis.axes):
+                t = ax.weights / (ax.nodes - eta[q])
+                kappa *= np.abs(t).sum() / abs(t.sum())
+            res = tensor_evaluate(basis, field, eta, gradient=True)
+            both, _ = _contract(basis, samples, eta.tolist(), True, False)
+            assert np.isfinite(res.value) and np.isfinite(res.d1).all()
+            assert np.isfinite(both).all()
+            for got in (res.value, both[0, 0], -both[0, 1]):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)) * kappa, (off, eta)
 
 
 def test_direct_form_1d_matches_kernel():
