@@ -22,8 +22,9 @@ for vectorizing over the points to be representative):
   `tensor._contract`, the contraction that `ElementEvaluator.phys_evaluate`
   runs, on the evaluator's stage-1 matrix: every axis but the last is one
   product with the kernel's unnormalised cardinal rows l and l', the last
-  lines are reduced on Python floats, and one scale per point normalises.  A 1D
-  point reduces its one line with `kernel._reduce_lines`, p'' included.
+  lines are reduced on Python floats, and one scale per point normalises.
+  A 1D point reduces its one line with `kernel._reduce_lines`, p''
+  included.
   Like the rebuilt-matrix sweep it skips the region test, which the sampling
   points pass by construction;
 * `matrix_recomputed` rebuilds the cardinal value rows and cube-space

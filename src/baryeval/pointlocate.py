@@ -32,10 +32,11 @@ fields, and the cache keeps them alive, so no other fields can take their
 identity.  `locate` checks the basis and the fields before they are hashed.
 The cache holds up to CACHE_SIZE elements' coordinate fields and the
 evaluator's one copy of them, its stage-1 matrix: about 6 MB at order 14
-(32 elements of 3 fields of 4096 samples, twice).  The search itself runs on Python floats: r,
-J and J^T r are lists of d floats, norms use `math.sqrt`, and the
-Gauss-Newton direction is solved by Cramer's rule (`_newton_direction`),
-which leaves the steepest-descent fallback to an exactly zero det J.
+(32 elements of 3 fields of 4096 samples, twice).  The search itself runs
+on Python floats: r, J and J^T r are lists of d floats, norms use
+`math.sqrt`, and the Gauss-Newton direction is solved by Cramer's rule
+(`_newton_direction`), which leaves the steepest-descent fallback to an
+exactly zero det J.
 """
 
 from __future__ import annotations

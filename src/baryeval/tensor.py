@@ -118,13 +118,13 @@ def _contract(basis, samples, eta, gradient, one):
 
     samples is the matrix of `_stage1`, with any strides; `ElementEvaluator`
     keeps a C-contiguous copy, `tensor_evaluate` passes the view.  `one` says
-    that F = 1 and a list of floats is wanted.  The contraction
-    runs one axis at a time, dimension 1 first, over the parts held so far
-    (value, d/deta_1, ..., d/deta_{q-1} of every field, stacked in that
-    order): every part is reduced with the unnormalised rows of
-    `kernel._axis_rows`, and the value part alone also with its
-    unnormalised l' row, which appends d/deta_q.  Every axis but the last
-    is one product over all lines.  On the last axis one field leaves one
+    that F = 1 and a list of floats is wanted.  The contraction runs one axis
+    at a time, dimension 1 first, over the parts held so far (value,
+    d/deta_1, ..., d/deta_{q-1} of every field, stacked in that order):
+    every part is reduced with the unnormalised l row of `kernel._axis_rows`,
+    and the value part alone also with its unnormalised l' row, which
+    appends d/deta_q.  Every axis but the last is one product over all
+    lines.  On the last axis one field leaves one
     short line, or d with gradients, which `kernel._reduce_lines` reduces
     on Python floats; F fields leave F times as many lines, and the last
     axis stays a product.  The barycentric normalisation is applied once,
