@@ -3,19 +3,30 @@
 The operator holds one row per query point; entry (m, j) is the product over
 axes of the univariate cardinal values
 
-    l_j(eta) = prod_{i != j} (eta - z_i) / (z_j - z_i)
+    l_j(eta) = prod_{i != j} (eta - z_i) / prod_{i != j} (z_j - z_i)
 
-computed by the direct O(n^2) product formula at the collapsed coordinates of
-point m.  Derivative rows take l' = l D, D the axis's differentiation matrix
-(`NodeSet.d1`), also O(n^2): l'_j has degree n - 2, so it equals its own
+at the collapsed coordinates of point m, the division-free first barycentric
+form, which is backward stable (Higham 2004).  The numerators are built in
+O(n) per point and axis, as an exclusive prefix product times an exclusive
+suffix product of (eta - z_i); the denominators are the same products at
+eta = z_j, taken once per node set (`NodeSet.denominators`) by the same
+operations, so a point on a node gets the unit row bit for bit, with no
+snap, mask or division by eta - z_j.  `_cardinal_rows` builds every axis
+in one pass; `cardinal_values` is its one-axis form on caller nodes.
+Derivative rows take l' = l D, D the axis's differentiation matrix
+(`NodeSet.d1`), O(n^2): l'_j has degree n - 2, so it equals its own
 interpolant sum_i l_i(eta) D[i, j], and at a node the row is D[k] exactly.
-They are composed with the collapse Jacobian, mirroring the chain rule of the
-barycentric path.  The Jacobian is applied before the tensor product, on the
-rows of axes 2..d, through its nonzero entries only; one batched product
-with the axis-1 values and derivatives then writes the value row and the d
-derivative rows of every point once, into one C-contiguous (1 + d, M, N)
-array, starting on a 64-byte boundary, whose slices are the value matrix and
-the derivative stack.
+
+`_front` is the batch front end shared with `ElementEvaluator.evaluate`:
+the region test, the collapse, the rows and the collapse Jacobian entries,
+each on NumPy columns for all M points.  The operator composes the rows
+with the Jacobian, mirroring the chain rule of the barycentric path.  The
+Jacobian is applied before the tensor product, on the rows of axes 2..d,
+through its nonzero entries only; one batched product with the axis-1
+values and derivatives then writes the value row and the d derivative rows
+of every point once, into one C-contiguous (1 + d, M, N) array, starting on
+a 64-byte boundary, whose slices are the value matrix and the derivative
+stack.
 """
 
 from __future__ import annotations
@@ -24,27 +35,71 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRegionError, SingularCollapseError, as_floats
-from .nodes import _line
+from .errors import DegenerateNodesError, OutOfRegionError, SingularCollapseError, as_floats
+from .nodes import _cardinal_denominators, _exclusive_products, _line
 from .shapes import REGION_TOL, _check_basis, collapse_batch, contains_batch, jacobian_entries
 from .tensor import _check_field
 
 
 def cardinal_values(nodes, etas):
-    """Cardinal Lagrange values l_j(eta) for all j at each finite eta, (M, n)."""
+    """Cardinal Lagrange values l_j(eta) for all j at each finite eta, (M, n).
+
+    Refuses nodes that repeat a value with DegenerateNodesError.
+    """
     etas = _line(np.atleast_1d(as_floats(etas, "eta")), "eta")
-    return _cardinal_values(_line(nodes, "nodes"), etas)
+    z = _line(nodes, "nodes")
+    den = _cardinal_denominators(z)
+    if not den.all():
+        raise DegenerateNodesError("interpolation nodes contain duplicates")
+    return _exclusive_products(etas[:, None] - z) / den
 
 
-def _cardinal_values(z, etas):
-    """`cardinal_values` on checked (n,) nodes and (M,) etas."""
-    delta = z[:, None] - z[None, :]
-    np.fill_diagonal(delta, 1.0)
-    ratios = (etas[:, None, None] - z[None, None, :]) / delta[None, :, :]
-    n = len(z)
-    idx = np.arange(n)
-    ratios[:, idx, idx] = 1.0
-    return ratios.prod(axis=2)
+def _cardinal_rows(basis, etas, deriv):
+    """[l_q; l_q'] of every axis q at the (M, d) cube points etas.
+
+    Returns a list of d (M, 1 + deriv, n_q) arrays.  All axes are built in one
+    pass over an (d, M, n) array, each axis padded to the longest: a pad has
+    the difference 1, which leaves the products unchanged, and the denominator
+    inf, which makes its entry 0.
+    """
+    z, den, d1, pad = basis.padded
+    x = etas.T[:, :, None] - z[:, None, :]
+    np.copyto(x, 1.0, where=pad[:, None, :])
+    rows = np.empty(x.shape[:2] + (1 + deriv, x.shape[2]))
+    cards = np.divide(_exclusive_products(x), den[:, None, :], out=rows[:, :, 0])
+    if deriv:
+        np.matmul(cards, d1, out=rows[:, :, 1])
+    return [rows[q, :, :, :n] for q, n in enumerate(basis.counts)]
+
+
+def _front(shape, basis, points, deriv):
+    """The batch front end of `build_operator` and `ElementEvaluator.evaluate`.
+
+    Reads points as an (M, d) array, refusing, with the index and coordinates
+    of the first bad point, a point outside the reference region
+    (`OutOfRegionError`) and, with `deriv`, a point on a singular face of the
+    collapse (`SingularCollapseError`).  Returns the points, the rows of
+    `_cardinal_rows` at their cube coordinates, and with `deriv` the nonzero
+    entries of their collapse Jacobians (`shapes.jacobian_entries`), else None.
+    """
+    points = np.atleast_2d(as_floats(points, "points"))
+    inside = contains_batch(shape, points, REGION_TOL)
+    if not np.all(inside):
+        m = int(np.argmin(inside))
+        raise OutOfRegionError(
+            f"point {m} at {points[m]} lies outside the {shape.value} reference region"
+        )
+    etas = collapse_batch(shape, points)
+    jac = None
+    if deriv:
+        jac, singular = jacobian_entries(shape, etas)
+        if singular.any():
+            m = int(np.argmax(singular))
+            raise SingularCollapseError(
+                f"point {m} at {points[m]} lies on a singular face of the {shape.value} "
+                "collapse, where derivatives are undefined"
+            )
+    return points, _cardinal_rows(basis, etas, deriv), jac
 
 
 @dataclass
@@ -78,7 +133,7 @@ def _assemble_rows(per_axis):
     return rows
 
 
-def _operator_rows(cards, dcards, jac):
+def _operator_rows(rows, jac):
     """Value and region-derivative rows in one C-contiguous (1 + d, M, N) array.
 
     Every row splits over axis 1 as R_r (x) l_1 + S_r (x) l_1', with R_r and
@@ -87,33 +142,33 @@ def _operator_rows(cards, dcards, jac):
         value row       R = P,  S = 0,          P = prod_{q >= 2} l_q
         d/dxi_b row     R = sum_{a >= 2} J[a, b] P_a',   S = J[1, b] P
 
-    where P_a' is P with l_a' in place of l_a.  `jac` holds the nonzero
+    where P_a' is P with l_a' in place of l_a.  rows[q] is the (M, 2, n_q)
+    stack [l_q; l_q'] of `_cardinal_rows`.  `jac` holds the nonzero
     entries of the collapse Jacobian only (`shapes.jacobian_entries`), so it
     enters at the small M x N/n_1 level, and one batched product with
     [l_1; l_1'] writes every full row once.
     """
-    m, d = len(cards[0]), len(cards)
+    m, d = len(rows[0]), len(rows)
     tails = [
-        _assemble_rows([dcards[q] if q == a else cards[q] for q in range(1, d)])
+        _assemble_rows([rows[q][:, 1 if q == a else 0] for q in range(1, d)])
         if d > 1 else np.ones((m, 1))
         for a in range(d)
     ]  # tails[0] is P, tails[a] is P_a'
-    k, n1 = tails[0].shape[1], cards[0].shape[1]
+    k, n1 = tails[0].shape[1], rows[0].shape[2]
     parts = np.zeros((1 + d, m, k, 2))  # [R_r, S_r]
     parts[0, :, :, 0] = tails[0]
     for (a, b), coef in jac.items():
         term = tails[a] if coef is None else coef[:, None] * tails[a]
         parts[1 + b, :, :, 1 if a == 0 else 0] += term
-    first = np.concatenate((cards[0], dcards[0]), axis=1).reshape(m, 2, n1)  # [l_1; l_1']
     # Start the buffer on a 64-byte boundary: the BLAS matrix-vector kernels
     # of a cached apply_operator lose 5-10% on rows that start 16 bytes past
     # one, where large allocations begin.
     size = (1 + d) * m * k * n1
     raw = np.empty(size + 8)
     skip = -(raw.ctypes.data // 8) % 8
-    rows = raw[skip:skip + size].reshape(1 + d, m, k * n1)
-    np.matmul(parts, first, out=rows.reshape(1 + d, m, k, n1))
-    return rows
+    out = raw[skip:skip + size].reshape(1 + d, m, k * n1)
+    np.matmul(parts, rows[0], out=out.reshape(1 + d, m, k, n1))
+    return out
 
 
 def build_operator(shape, basis, points, want_derivs=False):
@@ -124,28 +179,10 @@ def build_operator(shape, basis, points, want_derivs=False):
     a point on a singular face of the collapse (`SingularCollapseError`).
     """
     _check_basis(shape, basis)
-    points = np.atleast_2d(as_floats(points, "points"))
-    inside = contains_batch(shape, points, REGION_TOL)
-    if not np.all(inside):
-        m = int(np.argmin(inside))
-        raise OutOfRegionError(
-            f"point {m} at {points[m]} lies outside the {shape.value} reference region"
-        )
-    etas = collapse_batch(shape, points)
-    cards = [_cardinal_values(ax.nodes, etas[:, q]) for q, ax in enumerate(basis.axes)]
-
+    points, rows, jac = _front(shape, basis, points, want_derivs)
     if not want_derivs:
-        return InterpOperator(shape, basis, points, _assemble_rows(cards), None)
-
-    jac, singular = jacobian_entries(shape, etas)
-    if singular.any():
-        m = int(np.argmax(singular))
-        raise SingularCollapseError(
-            f"point {m} at {points[m]} lies on a singular face of the {shape.value} "
-            "collapse, where derivative rows are undefined"
-        )
-    dcards = [c @ ax.d1 for c, ax in zip(cards, basis.axes)]
-    rows = _operator_rows(cards, dcards, jac)
+        return InterpOperator(shape, basis, points, _assemble_rows([r[:, 0] for r in rows]), None)
+    rows = _operator_rows(rows, jac)
     return InterpOperator(shape, basis, points, rows[0], rows[1:])
 
 

@@ -134,6 +134,30 @@ def diff_matrix(nodes, weights):
     return d
 
 
+def _exclusive_products(x):
+    """prod_{i != j} x[..., i] for every j along the last axis, in O(n): an
+    exclusive prefix product times an exclusive suffix product, two cumulative
+    products."""
+    out = np.empty_like(x)
+    after = np.empty_like(x)
+    out[..., :1] = after[..., -1:] = 1.0
+    np.multiply.accumulate(x[..., :-1], axis=-1, out=out[..., 1:])
+    np.multiply.accumulate(x[..., :0:-1], axis=-1, out=after[..., -2::-1])
+    out *= after
+    return out
+
+
+def _cardinal_denominators(z):
+    """prod_{i != j} (z_j - z_i) for every node j of z.
+
+    These are the products of `_exclusive_products` at eta = z_j, taken by the
+    same operations, so the cardinal row l_j = prod_{i != j} (eta - z_i) / this
+    is 1.0 exactly at eta = z_j, and 0.0 at every other node.  An entry is 0
+    where z repeats a node.
+    """
+    return _exclusive_products(z[:, None] - z).diagonal().copy()
+
+
 def _read_only(values, what):
     """A float copy of values that no caller can write: a read-only view of a read-only base."""
     base = np.array(as_floats(values, what))
@@ -163,6 +187,11 @@ class NodeSet:
     def floats(self):
         """nodes and weights as tuples of Python floats, built on first use."""
         return tuple(self.nodes.tolist()), tuple(self.weights.tolist())
+
+    @cached_property
+    def denominators(self):
+        """The cardinal denominators prod_{i != j} (z_j - z_i), read-only, built on first use."""
+        return _read_only(_cardinal_denominators(self.nodes), "denominators")
 
     def __post_init__(self):
         """Refuse nodes that are not strictly ascending, weights that are not

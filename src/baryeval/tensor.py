@@ -7,7 +7,9 @@ them with the per-axis cardinal rows of the kernel, the one univariate formula
 of the package, unnormalised, and divides once per point by the product of
 the per-axis sums, as the direct form `multi_bary_direct` does.  It is the one
 per-point contraction: `tensor_evaluate`, `ElementEvaluator.phys_evaluate` and
-the timed bench sweep all run it.
+the timed bench sweep all run it.  `_contract_batch` is its form for M
+points, on the rows of `lagrange._cardinal_rows`, behind
+`ElementEvaluator.evaluate`.
 """
 
 from __future__ import annotations
@@ -49,6 +51,23 @@ class TensorBasis:
     @cached_property
     def size(self):
         return math.prod(self.counts)
+
+    @cached_property
+    def padded(self):
+        """The axes' nodes, cardinal denominators and d1 stacked, read-only, each
+        axis padded to the longest: (d, n) nodes, (d, n) denominators with inf in
+        the pads, (d, n, n) d1 with zeros in the pads, and the (d, n) pad mask."""
+        n = max(self.counts)
+        z = np.zeros((self.dim, n))
+        den = np.full((self.dim, n), np.inf)
+        d1 = np.zeros((self.dim, n, n))
+        pad = np.ones((self.dim, n), dtype=bool)
+        for q, ax in enumerate(self.axes):
+            z[q, :ax.n], den[q, :ax.n], d1[q, :ax.n, :ax.n] = ax.nodes, ax.denominators, ax.d1
+            pad[q, :ax.n] = False
+        for x in (z, den, d1, pad):
+            x.flags.writeable = False
+        return z, den, d1, pad
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,6 +180,31 @@ def _contract(basis, samples, eta, gradient, one):
     parts, eta[-1] = _reduce_lines(axes[-1], eta[-1], deriv,
                                    parts.reshape(-1, counts[-1]).tolist(), scale)
     return parts, eta
+
+
+def _contract_batch(samples, rows):
+    """Values, and with derivative rows cube-space gradients, of F fields at M points.
+
+    samples is the (E, n1, F N / n1) stack of `_stage1` matrices, one element
+    here (E = 1); rows[q] is the (M, R, n_q) stack of the cardinal rows of
+    axis q at every point, [l_q] (R = 1) or [l_q; l_q'] (R = 2).  Stage 1 is
+    one product of the stacked axis-1 rows of all points with the samples.
+    Each later axis is one batched product over the points that reduces, as
+    `_contract` does, every part held so far with l_q and the value part also
+    with l_q'.  Returns the (M, P, F) parts, P = 1 or 1 + d: the value, then
+    d/deta_1, ..., d/deta_d.
+    """
+    m, r, n1 = rows[0].shape
+    width = r * samples.shape[2]  # per point; not -1 in a reshape, which M = 0 leaves undefined
+    parts = np.matmul(rows[0].reshape(1, m * r, n1), samples).reshape(m, width)
+    for q in range(1, len(rows)):
+        n = rows[q].shape[2]
+        lines = parts.reshape(m, width // n, n).transpose(0, 2, 1)
+        parts = np.matmul(rows[q], lines).reshape(m, r * (width // n))
+        width = width // n + (r - 1) * (width // n) // (q + 1)
+        parts = parts[:, :width]
+    p = 1 + (r - 1) * len(rows)
+    return parts.reshape(m, p, width // p)
 
 
 def tensor_evaluate(basis, fieldvalues, eta, gradient=False):

@@ -361,6 +361,100 @@ def test_one_field_agrees_with_a_field_tuple(shape, order):
                         assert np.max(np.abs(got - res.d1[f])) <= 1e-13 * scale, xi
 
 
+def _batch_points(shape, basis, rng):
+    """The kinds of `_row_path_points` but singular, all grid points on one
+    axis's node, and cube points 1e-15 to 1e-3 off an interior node of one
+    axis, the offsets of `test_kernel.test_derivatives_next_to_a_node`."""
+    kinds = _row_path_points(shape, basis, rng)
+    kinds["collocated"] += _collocated_on_one_axis(shape, basis, rng)
+    offsets = [s * 10.0**-e for e in range(3, 16) for s in (1.0, -1.0)]
+    kinds["near_node"] = []
+    for q, ax in enumerate(basis.axes):
+        for off in offsets:
+            eta = rng.uniform(-0.8, 0.8, size=basis.dim)
+            eta[q] = ax.nodes[rng.integers(1, ax.n - 1)] + off
+            kinds["near_node"].append(expand(shape, eta))
+    return kinds
+
+
+
+
+@pytest.mark.parametrize("order", [3, 12])
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_evaluate_agrees_with_phys_evaluate(shape, order):
+    # One field and a tuple of three, values and gradients, on every kind of
+    # point; values within 1e-12 max(1, |v|), gradients within
+    # 1e-10 max(1, |g|_inf).  Values on a singular face succeed.
+    # `phys_evaluate` moves a cube coordinate within SNAP_TOL of a node onto
+    # it and `evaluate` does not, which moves such a point by at most
+    # d SNAP_TOL / 2 in region coordinates at the offsets used here (the
+    # snapped kind and the three smallest near-node offsets), so values there
+    # may also differ by 2 SNAP_TOL |g|_1.
+    rng = np.random.default_rng(order + 1)
+    basis = basis_for_order(shape, order)
+    fields = tuple(sample_field(shape, basis, lambda xi, c=c: np.sin(c + 2.0 * np.sum(xi))
+                                + c * xi[-1] ** 3) for c in range(3))
+    for ev in (ElementEvaluator(shape, basis, fields[1]), ElementEvaluator(shape, basis, fields)):
+        for kind, pts in _batch_points(shape, basis, rng).items():
+            if not pts:
+                continue
+            pts = np.array(pts)
+            got = ev.evaluate(pts)
+            assert got.d1 is None
+            want = [ev.phys_evaluate(xi, gradient=kind != "singular") for xi in pts]
+            values = np.array([w.value for w in want])
+            bound = 1e-12 * np.maximum(1.0, np.abs(values))
+            if kind != "singular":
+                etas = [collapse_floats(shape, xi) for xi in pts]
+                moved = np.array([_snap(basis, eta) != eta for eta in etas])
+                moved = moved.reshape(-1, *[1] * (values.ndim - 1))
+                bound += moved * 2 * SNAP_TOL * np.abs([w.d1 for w in want]).sum(axis=-1)
+            assert got.value.shape == values.shape
+            assert np.all(np.abs(got.value - values) <= bound), kind
+            if kind == "singular":
+                continue
+            got = ev.evaluate(pts, gradient=True)
+            grads = np.array([w.d1 for w in want])
+            assert got.d1.shape == grads.shape
+            assert np.all(np.abs(got.value - values) <= bound), kind
+            scale = np.maximum(1.0, np.abs(grads).max(axis=-1, keepdims=True))
+            assert np.all(np.abs(got.d1 - grads) <= 1e-10 * scale), kind
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_evaluate_refuses_with_the_index_of_the_first_bad_point(shape):
+    ev = ElementEvaluator.for_order(shape, 3, benchmark_field(dim_of(shape)).eval)
+    mid = centroid(shape)
+    outside = mid + 3.0
+    for gradient in (False, True):
+        with pytest.raises(OutOfRegionError, match=r"point 1 at "):
+            ev.evaluate([mid, outside, mid, outside], gradient=gradient)
+    vertices = np.asarray(SHAPE_SPECS[shape].vertices)
+    singular = [v for v in vertices if singular_distance(shape, v) < SINGULAR_TOL]
+    if singular:
+        pts = [mid, mid, singular[0], singular[-1]]
+        assert ev.evaluate(pts).value.shape == (4,)
+        with pytest.raises(SingularCollapseError, match=r"point 2 at "):
+            ev.evaluate(pts, gradient=True)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_evaluate_zero_and_one_point(shape):
+    d = dim_of(shape)
+    basis = basis_for_order(shape, 4)
+    fields = tuple(sample_field(shape, basis, lambda xi, c=c: c + xi[0]) for c in range(3))
+    for ev, f in ((ElementEvaluator(shape, basis, fields[0]), ()),
+                  (ElementEvaluator(shape, basis, fields), (3,))):
+        res = ev.evaluate(np.empty((0, d)), gradient=True)
+        assert res.value.shape == (0, *f) and res.d1.shape == (0, *f, d)
+        assert ev.evaluate(np.empty((0, d))).value.shape == (0, *f)
+        xi = centroid(shape)
+        res, want = ev.evaluate([xi], gradient=True), ev.phys_evaluate(xi, gradient=True)
+        assert res.value.shape == (1, *f) and res.d1.shape == (1, *f, d)
+        assert np.allclose(res.value[0], want.value, rtol=0.0, atol=1e-13)
+        assert np.allclose(res.d1[0], want.d1, rtol=0.0, atol=1e-12)
+
+
 def test_snapped_coordinates_reach_the_chain_rule():
     # A cube coordinate 5e-13 off a node is evaluated on the node, and the
     # gradient uses the Jacobian there.

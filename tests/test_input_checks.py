@@ -128,6 +128,7 @@ CASES = {
     "NodeSet, (3, 2) d2":
         lambda: NodeSet(NodeKind.EQUISPACED, LINE, [0.5, -1.0, 0.5], np.eye(3), np.ones((3, 2))),
     "diff_matrix, a repeated node": lambda: diff_matrix([-1.0, 0.0, 0.0, 1.0], np.ones(4)),
+    "cardinal_values, a repeated node": lambda: cardinal_values([-1.0, 0.0, 0.0], [0.1]),
     "diff_matrix, a zero weight": lambda: diff_matrix(LINE, [0.5, 0.0, 0.5]),
     "bary_evaluate, deriv 1.0 at a node": lambda: bary_evaluate(AXIS, np.ones(5), 0.0, 1.0),
     "phys_evaluate_1d, deriv 2.0 off a node": lambda: SEGMENT.phys_evaluate_1d(0.3, deriv=2.0),
@@ -178,6 +179,9 @@ READERS = {
     "phys_evaluate, fields": (lambda x: ElementEvaluator(Shape.TRI, TRI, COORDS).phys_evaluate(
         x, gradient=True), [-0.5, -0.2]),
     "phys_evaluate_1d": (lambda x: SEGMENT.phys_evaluate_1d(x, deriv=2), 0.3),
+    "evaluate": (lambda x: TRI_EVAL.evaluate(x, gradient=True), [[-0.5, -0.2], [0.1, -0.6]]),
+    "evaluate, fields": (lambda x: ElementEvaluator(Shape.TRI, TRI, COORDS).evaluate(
+        x, gradient=True), [[-0.5, -0.2], [0.1, -0.6]]),
     "tensor_evaluate": (lambda x: tensor_evaluate(QUAD, QUAD_FIELD, x, gradient=True), [0.1, 0.2]),
     "multi_bary_direct": (lambda x: multi_bary_direct(QUAD, QUAD_FIELD, x), [0.1, 0.2]),
     "build_operator": (lambda x: build_operator(Shape.TRI, TRI, x, want_derivs=True),
