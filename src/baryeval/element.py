@@ -23,7 +23,7 @@ every axis, Jacobian entries, and the same refusals), multiplies the
 stacked axis-1 rows of all points with the stage-1 matrix in one product,
 reduces the later axes with batched products (`tensor._contract_batch`) and
 applies the chain rule on columns.  It does not snap: the rows are exact at
-a node and continuous next to one.  A call costs about 80-100 us before the
+a node and continuous next to one.  A call costs about 90 us before the
 first point, so `phys_evaluate` stays the per-point path.
 
 Axes that appear as the `along` dimension of a collapse pair use Radau points

@@ -81,10 +81,12 @@ counters = OpCounters()
 
 @dataclass
 class EvalResult:
-    """Value and optional derivatives of a field at one point.
+    """Value and optional derivatives of a field at one point, or of fields at many.
 
     d1 holds one gradient component per reference coordinate; d2 is the 1D
-    second derivative.  Both are present only when requested.
+    second derivative.  Both are present only when requested.  Several fields
+    add a field axis before the component axis, and `ElementEvaluator.evaluate`
+    a leading point axis.
     """
 
     value: float

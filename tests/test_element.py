@@ -362,9 +362,10 @@ def test_one_field_agrees_with_a_field_tuple(shape, order):
 
 
 def _batch_points(shape, basis, rng):
-    """The kinds of `_row_path_points` but singular, all grid points on one
-    axis's node, and cube points 1e-15 to 1e-3 off an interior node of one
-    axis, the offsets of `test_kernel.test_derivatives_next_to_a_node`."""
+    """The kinds of `_row_path_points`, with the points of
+    `_collocated_on_one_axis` added to the collocated ones and the near-node
+    points taken at the offsets of `test_kernel.test_derivatives_next_to_a_node`,
+    1e-3 to 1e-15 off an interior node of one axis."""
     kinds = _row_path_points(shape, basis, rng)
     kinds["collocated"] += _collocated_on_one_axis(shape, basis, rng)
     offsets = [s * 10.0**-e for e in range(3, 16) for s in (1.0, -1.0)]
@@ -375,8 +376,6 @@ def _batch_points(shape, basis, rng):
             eta[q] = ax.nodes[rng.integers(1, ax.n - 1)] + off
             kinds["near_node"].append(expand(shape, eta))
     return kinds
-
-
 
 
 @pytest.mark.parametrize("order", [3, 12])
