@@ -11,8 +11,8 @@ O(n) per point and axis, as an exclusive prefix product times an exclusive
 suffix product of (eta - z_i); the denominators are the same products at
 eta = z_j, taken once per node set (`NodeSet.denominators`) by the same
 operations, so a point on a node gets the unit row bit for bit, with no
-snap, mask or division by eta - z_j.  `_cardinal_rows` builds every axis
-in one pass; `cardinal_values` is its one-axis form on caller nodes.
+snap, mask or division by eta - z_j.  `_cardinal_rows` builds them axis by
+axis; `cardinal_values` is the same formula on caller nodes.
 Derivative rows take l' = l D, D the axis's differentiation matrix
 (`NodeSet.d1`), O(n^2): l'_j has degree n - 2, so it equals its own
 interpolant sum_i l_i(eta) D[i, j], and at a node the row is D[k] exactly.
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNodesError, OutOfRegionError, SingularCollapseError, as_floats
-from .nodes import _cardinal_denominators, _exclusive_products, _line
+from .nodes import _exclusive_products, _line
 from .shapes import REGION_TOL, _check_basis, collapse_batch, contains_batch, jacobian_entries
 from .tensor import _check_field
 
@@ -44,32 +44,42 @@ from .tensor import _check_field
 def cardinal_values(nodes, etas):
     """Cardinal Lagrange values l_j(eta) for all j at each finite eta, (M, n).
 
-    Refuses nodes that repeat a value with DegenerateNodesError.
+    Refuses nodes that repeat a value with DegenerateNodesError.  l_j is
+    unchanged when every difference eta - z_i is scaled alike, so the
+    differences are scaled, exactly, by the power of two that brings the
+    nodes' spread into [2, 4): nodes spread far from O(1) do not by that
+    alone underflow or overflow the products.  As for `bary_weights`, node
+    sets whose products prod_{i != j} (z_j - z_i) leave the float range even
+    so (many nodes with gaps tiny against their spread) are unsupported.
     """
     etas = _line(np.atleast_1d(as_floats(etas, "eta")), "eta")
     z = _line(nodes, "nodes")
-    den = _cardinal_denominators(z)
-    if not den.all():
+    n = len(z)
+    if np.unique(z).size < n:
         raise DegenerateNodesError("interpolation nodes contain duplicates")
-    return _exclusive_products(etas[:, None] - z) / den
+    # The differences at the nodes go through the same operations as those at
+    # etas, so the denominators are the numerators at eta = z_j, as in
+    # `nodes._cardinal_denominators`, and a node's row is exact.
+    x = np.concatenate([z, etas])[:, None] - z
+    x *= np.ldexp(1.0, 2 - np.frexp(np.abs(x[:n]).max(initial=0.0))[1])
+    products = _exclusive_products(x)
+    return products[n:] / products[:n].diagonal()
 
 
 def _cardinal_rows(basis, etas, deriv):
     """[l_q; l_q'] of every axis q at the (M, d) cube points etas.
 
-    Returns a list of d (M, 1 + deriv, n_q) arrays.  All axes are built in one
-    pass over an (d, M, n) array, each axis padded to the longest: a pad has
-    the difference 1, which leaves the products unchanged, and the denominator
-    inf, which makes its entry 0.
+    Returns a list of d (M, 1 + deriv, n_q) arrays, one product pass per axis.
     """
-    z, den, d1, pad = basis.padded
-    x = etas.T[:, :, None] - z[:, None, :]
-    np.copyto(x, 1.0, where=pad[:, None, :])
-    rows = np.empty(x.shape[:2] + (1 + deriv, x.shape[2]))
-    cards = np.divide(_exclusive_products(x), den[:, None, :], out=rows[:, :, 0])
-    if deriv:
-        np.matmul(cards, d1, out=rows[:, :, 1])
-    return [rows[q, :, :, :n] for q, n in enumerate(basis.counts)]
+    rows = []
+    for q, ax in enumerate(basis.axes):
+        r = np.empty((len(etas), 1 + deriv, ax.n))
+        cards = np.divide(_exclusive_products(etas[:, q, None] - ax.nodes), ax.denominators,
+                          out=r[:, 0])
+        if deriv:
+            np.matmul(cards, ax.d1, out=r[:, 1])
+        rows.append(r)
+    return rows
 
 
 def _front(shape, basis, points, deriv):
@@ -81,7 +91,9 @@ def _front(shape, basis, points, deriv):
     collapse (`SingularCollapseError`).  Returns the points, the rows of
     `_cardinal_rows` at their cube coordinates, and with `deriv` the nonzero
     entries of their collapse Jacobians (`shapes.jacobian_entries`), else None.
+    `deriv` is read by its truth value.
     """
+    deriv = bool(deriv)
     points = np.atleast_2d(as_floats(points, "points"))
     inside = contains_batch(shape, points, REGION_TOL)
     if not np.all(inside):

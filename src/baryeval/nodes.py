@@ -102,7 +102,11 @@ def _line(values, what):
 
 
 def bary_weights(nodes):
-    """Barycentric weights w_j = 1 / prod_{i != j}(z_i - z_j)."""
+    """Barycentric weights w_j = 1 / prod_{i != j}(z_i - z_j).
+
+    Node sets whose products leave the float range (spreads far from O(1))
+    give inf or 0 weights and are unsupported; `NodeSet` refuses them.
+    """
     z = _line(nodes, "nodes")
     n = len(z)
     diffs = z[None, :] - z[:, None]  # diffs[j, i] = z_i - z_j

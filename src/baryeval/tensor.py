@@ -52,23 +52,6 @@ class TensorBasis:
     def size(self):
         return math.prod(self.counts)
 
-    @cached_property
-    def padded(self):
-        """The axes' nodes, cardinal denominators and d1 stacked, read-only, each
-        axis padded to the longest: (d, n) nodes, (d, n) denominators with inf in
-        the pads, (d, n, n) d1 with zeros in the pads, and the (d, n) pad mask."""
-        n = max(self.counts)
-        z = np.zeros((self.dim, n))
-        den = np.full((self.dim, n), np.inf)
-        d1 = np.zeros((self.dim, n, n))
-        pad = np.ones((self.dim, n), dtype=bool)
-        for q, ax in enumerate(self.axes):
-            z[q, :ax.n], den[q, :ax.n], d1[q, :ax.n, :ax.n] = ax.nodes, ax.denominators, ax.d1
-            pad[q, :ax.n] = False
-        for x in (z, den, d1, pad):
-            x.flags.writeable = False
-        return z, den, d1, pad
-
 
 @dataclass(frozen=True, eq=False)
 class FieldValues:

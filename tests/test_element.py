@@ -14,6 +14,7 @@ from baryeval import (
     basis_for_shape,
     make_node_set,
     benchmark_field,
+    build_operator,
     sample_field,
     xi_grid,
 )
@@ -520,26 +521,37 @@ def test_bases_compare_and_hash_by_their_shared_node_sets(shape):
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
 def test_gradient_is_read_as_a_truth_value(shape):
-    # every reader of `gradient` takes its truth value: a truthy flag returns
-    # what True returns and a falsy one what False returns, bit for bit
+    # every reader of `gradient`, and `build_operator` of `want_derivs`, takes
+    # its truth value: a truthy flag returns what True returns and a falsy one
+    # what False returns, bit for bit
     rng = np.random.default_rng(7)
     basis = basis_for_order(shape, 3)
     fields = tuple(sample_field(shape, basis, lambda xi, c=c: np.sin(c + 2.0 * np.sum(xi)))
                    for c in range(3))
     evaluators = (ElementEvaluator(shape, basis, fields[0]),
                   ElementEvaluator(shape, basis, fields))
-    for xi in [random_interior_point(shape, rng, margin=0.01, singular_margin=0.05)
-               for _ in range(4)]:
+    xis = np.array([random_interior_point(shape, rng, margin=0.01, singular_margin=0.05)
+                    for _ in range(4)])
+    calls = [lambda g, ev=ev: ev.evaluate(xis, gradient=g) for ev in evaluators]
+    for xi in xis:
         eta = collapse(shape, xi)
-        for flags, ref in (((2, 0.5, "yes", np.True_), True), ((0, 0.0, "", None), False)):
-            calls = [lambda g, ev=ev: ev.phys_evaluate(xi, gradient=g) for ev in evaluators]
-            calls.append(lambda g: tensor_evaluate(basis, fields[0], eta, gradient=g))
-            for call in calls:
-                want = call(ref)
-                for flag in flags:
-                    got = call(flag)
-                    assert np.array_equal(got.value, want.value), (flag, xi)
-                    if ref:
-                        assert np.array_equal(got.d1, want.d1), (flag, xi)
-                    else:
-                        assert got.d1 is None, (flag, xi)
+        calls += [lambda g, ev=ev, xi=xi: ev.phys_evaluate(xi, gradient=g) for ev in evaluators]
+        calls.append(lambda g, eta=eta: tensor_evaluate(basis, fields[0], eta, gradient=g))
+    for flags, ref in (((2, 0.5, "yes", np.True_), True), ((0, 0.0, "", None), False)):
+        for call in calls:
+            want = call(ref)
+            for flag in flags:
+                got = call(flag)
+                assert np.array_equal(got.value, want.value), flag
+                if ref:
+                    assert np.array_equal(got.d1, want.d1), flag
+                else:
+                    assert got.d1 is None, flag
+        want = build_operator(shape, basis, xis, want_derivs=ref)
+        for flag in flags:
+            got = build_operator(shape, basis, xis, want_derivs=flag)
+            assert np.array_equal(got.value_matrix, want.value_matrix), flag
+            if ref:
+                assert np.array_equal(got.deriv_matrices, want.deriv_matrices), flag
+            else:
+                assert got.deriv_matrices is None, flag

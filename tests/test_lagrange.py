@@ -77,19 +77,23 @@ def test_cardinal_rows_against_the_ratio_product(kind, n):
         assert np.max(np.abs(cards - want)) <= 1e-15 * lebesgue
 
 
-def test_cardinal_rows_of_axes_of_different_lengths():
-    # every axis is padded to the longest; the pads must leave each axis's
-    # rows as the rows of that axis alone, bit for bit
-    axes = (make_node_set(NodeKind.GAUSS_LOBATTO_LEGENDRE, 5),
-            make_node_set(NodeKind.GAUSS_RADAU_MINUS, 9),
-            make_node_set(NodeKind.CHEBYSHEV_GAUSS_LOBATTO, 3))
-    etas = np.random.default_rng(4).uniform(-1.0, 1.0, size=(40, 3))
-    etas[:3] = [[ax.nodes[1] for ax in axes]] * 3
-    rows = _cardinal_rows(TensorBasis(axes), etas, 1)
-    for q, ax in enumerate(axes):
-        (alone,) = _cardinal_rows(TensorBasis((ax,)), etas[:, q:q + 1], 1)
-        assert rows[q].shape == (40, 2, ax.n)
-        assert np.array_equal(rows[q], alone)
+@pytest.mark.parametrize("kind", [NodeKind.GAUSS_LOBATTO_LEGENDRE, NodeKind.GAUSS_RADAU_MINUS])
+def test_cardinal_values_of_nodes_spread_far_from_one(kind):
+    # the rows see the nodes' spread only through rounding: nodes and points
+    # scaled by a power of two give the same rows bit for bit, and nodes
+    # 1e-200 or 1e200 apart, whose raw products underflow or overflow, give
+    # finite rows, the unit rows at the nodes, and no refusal
+    z = make_node_set(kind, 16).nodes
+    etas = _row_etas(z, np.random.default_rng(3))
+    cards = cardinal_values(z, etas)
+    for e in (-700, -60, 60, 700):
+        assert np.array_equal(cardinal_values(np.ldexp(z, e), np.ldexp(etas, e)), cards), e
+    for scale in (1e-200, 1e200):
+        rows = cardinal_values(scale * z, scale * etas)
+        assert np.array_equal(rows[:16], np.eye(16)), scale
+        assert np.max(np.abs(rows - cards)) <= 1e-12, scale
+    assert np.array_equal(cardinal_values(1e-200 * np.array([-1.0, 0.0, 1.0]), [0.0]),
+                          [[0.0, 1.0, 0.0]])
 
 
 def test_segment_row_example():
