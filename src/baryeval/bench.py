@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .element import ElementEvaluator, axis_kinds, basis_for_order, sample_field, xi_grid
-from .errors import InvalidInputError, ReportError
+from .errors import InvalidInputError, ReportError, as_index
 from .fields import benchmark_field, random_interior_point
 from .kernel import _reduce_lines
 from .lagrange import build_operator
@@ -315,8 +315,11 @@ def run_bench(shapes=None, orders=None, reps=None, seed=0, methods=METHODS, quan
     orders = list(orders) if orders else list(range(2, 21))
     for order in orders:
         _check_order(order)
-    if reps is not None and reps < 1:
-        raise InvalidInputError(f"reps must be >= 1, got {reps}")
+    if reps is not None:
+        count = as_index(reps)
+        if count is None or count < 1:
+            raise InvalidInputError(f"reps must be an integer >= 1, got {reps!r}")
+        reps = count
     rng = np.random.default_rng(seed)
     records = []
     for shape in shapes:
@@ -373,14 +376,18 @@ def scaling_cells_1d():
     }
 
 
-def csv_text(records):
+def _csv(header, rows):
+    """The header and rows as CSV text, one line each."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in records:
-        writer.writerow([r.shape, r.order, r.method, r.quantity, r.sample_points, r.reps,
-                         f"{r.mean_ns:.3f}", f"{r.stddev_ns:.3f}"])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def csv_text(records):
+    return _csv(CSV_HEADER, ([r.shape, r.order, r.method, r.quantity, r.sample_points, r.reps,
+                              f"{r.mean_ns:.3f}", f"{r.stddev_ns:.3f}"] for r in records))
 
 
 def read_csv(stream):
@@ -428,12 +435,8 @@ def speedup_report(records):
 
 def speedup_csv(records):
     header, rows = speedup_report(records)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for shape, order, quantity, ratio in rows:
-        writer.writerow([shape, order, quantity, f"{ratio:.4f}"])
-    return buf.getvalue()
+    return _csv(header, ([shape, order, quantity, f"{ratio:.4f}"]
+                         for shape, order, quantity, ratio in rows))
 
 
 def parse_shapes(text):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, as_index
 from .kernel import SNAP_TOL, EvalResult, bary_evaluate  # noqa: F401 (re-exported)
 from .lagrange import _front
 from .nodes import NodeKind, make_node_set
@@ -62,10 +62,11 @@ def basis_for_shape(shape, num_points):
 
 
 def basis_for_order(shape, order):
-    """Basis for polynomial order P, using P + 2 points per axis."""
-    if order < 0:
-        raise InvalidInputError(f"order must be non-negative, got {order}")
-    return basis_for_shape(shape, order + 2)
+    """Basis for polynomial order P, a non-negative integer, using P + 2 points per axis."""
+    p = as_index(order)
+    if p is None or p < 0:
+        raise InvalidInputError(f"order must be a non-negative integer, got {order!r}")
+    return basis_for_shape(shape, p + 2)
 
 
 def xi_grid(shape, basis):
@@ -149,7 +150,7 @@ class ElementEvaluator:
         with a tuple of F fields, (M, F) values and (M, F, d) gradients.
         """
         _, rows, jac = _front(self.shape, self.basis, xis, gradient)
-        parts = _contract_batch(self._samples[None], rows)
+        parts = _contract_batch(self._samples, rows)
         values = parts[:, 0]
         grads = None
         if gradient:

@@ -1,5 +1,6 @@
-"""Exception types raised by the library, and `as_floats`, which reads caller input."""
+"""Exception types of the library, and `as_floats` and `as_index`, which read caller input."""
 
+import operator
 import reprlib
 
 import numpy as np
@@ -58,6 +59,15 @@ def as_floats(value, what):
     except (TypeError, ValueError, OverflowError):
         raise InvalidInputError(
             f"{what} must be real numbers, got {reprlib.repr(value)}") from None
+
+
+def as_index(value):
+    """value as an int, read as `operator.index` reads it (True is 1), or None
+    for what that refuses; the caller raises its own error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 class OutOfRegionError(BaryevalError, ValueError):

@@ -35,7 +35,6 @@ most max|w| / SNAP_TOL, so nothing overflows up to `nodes.MAX_NODES`.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import mul as _mul
@@ -43,7 +42,7 @@ from operator import truediv as _div
 
 import numpy as np
 
-from .errors import InvalidInputError, as_floats
+from .errors import InvalidInputError, as_floats, as_index
 from .nodes import _line
 
 # Cube coordinates within this distance of a node are collocated with it and
@@ -144,11 +143,10 @@ def _float_rows(z, w, e, deriv):
     x = [zj - e for zj in z]
     if abs(x[k]) <= SNAP_TOL:
         return k, 1.0, ()
-    n = len(z)
+    if counters.enabled:
+        counters.divisions += (deriv + 1) * len(z) + (1, 3, 3)[deriv]
     t = list(map(_div, w, x))
     if not deriv:
-        if counters.enabled:
-            counters.divisions += n + 1
         return k, 1.0 / sum(t), (t,)
     # l' / g = t / x - s t with s = sum(t / x) g; entry k is t_k (f' / x_k - c') g
     # from f' and c', the sums of t and t / x over j != k
@@ -162,8 +160,6 @@ def _float_rows(z, w, e, deriv):
     l1 = [a - tj * s for a, tj in zip(tx, t)]
     l1[k] = tk * (f1 / x[k] - c1) * g
     if deriv == 1:
-        if counters.enabled:
-            counters.divisions += 2 * n + 3
         return k, g, (t, l1)
     # l'' = 2 l (u / x - sum(l' u)), so l'' / g = 2 (u t / x - t sum(l' u))
     u = [1.0 / xj - s for xj in x]
@@ -171,8 +167,6 @@ def _float_rows(z, w, e, deriv):
     l2 = [2.0 * (a * uj - tj * c) for a, tj, uj in zip(tx, t, u)]
     l2[k] = 0.0
     l2[k] = -sum(l2)
-    if counters.enabled:
-        counters.divisions += 3 * n + 3
     return k, g, (t, l1, l2)
 
 
@@ -214,7 +208,8 @@ def bary_evaluate(nodeset, values, eta, deriv=0):
     second.  All requested quantities come from one set of cardinal rows,
     applied on floats by `_reduce_lines`.
     """
-    if not isinstance(deriv, numbers.Integral) or deriv not in (0, 1, 2):
+    order = as_index(deriv)
+    if order not in (0, 1, 2):
         raise InvalidInputError(f"derivative order must be the integer 0, 1 or 2, got {deriv!r}")
     v = _line(values, "values")
     if len(v) != nodeset.n:
@@ -222,6 +217,6 @@ def bary_evaluate(nodeset, values, eta, deriv=0):
     e = as_floats(eta, "eta")
     if e.ndim or not math.isfinite(e):
         raise InvalidInputError(f"eta must be a finite real scalar, got {eta!r}")
-    p, _ = _reduce_lines(nodeset, float(e), deriv, [v.tolist()])
-    return EvalResult(p[0], np.array(p[1:2]) if deriv else None,
-                      p[2] if deriv > 1 else None)
+    p, _ = _reduce_lines(nodeset, float(e), order, [v.tolist()])
+    return EvalResult(p[0], np.array(p[1:2]) if order else None,
+                      p[2] if order > 1 else None)

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNodesError, OutOfRegionError, SingularCollapseError, as_floats
-from .nodes import _exclusive_products, _line
+from .errors import OutOfRegionError, SingularCollapseError, as_floats
+from .nodes import _cardinal_denominators, _distinct, _exclusive_products, _line
 from .shapes import REGION_TOL, _check_basis, collapse_batch, contains_batch, jacobian_entries
 from .tensor import _check_field
 
@@ -44,26 +44,21 @@ from .tensor import _check_field
 def cardinal_values(nodes, etas):
     """Cardinal Lagrange values l_j(eta) for all j at each finite eta, (M, n).
 
-    Refuses nodes that repeat a value with DegenerateNodesError.  l_j is
-    unchanged when every difference eta - z_i is scaled alike, so the
-    differences are scaled, exactly, by the power of two that brings the
-    nodes' spread into [2, 4): nodes spread far from O(1) do not by that
-    alone underflow or overflow the products.  As for `bary_weights`, node
-    sets whose products prod_{i != j} (z_j - z_i) leave the float range even
-    so (many nodes with gaps tiny against their spread) are unsupported.
+    Refuses nodes that repeat a value with DegenerateNodesError.  The rows
+    are those of `_cardinal_rows`, over `nodes._cardinal_denominators` of the
+    nodes.  l_j is unchanged when every difference is scaled alike, so the
+    differences eta - z_i and the nodes are scaled, exactly, by the power of
+    two that brings the nodes' spread into [2, 4): nodes spread far from O(1)
+    do not by that alone underflow or overflow the products.  As for
+    `bary_weights`, node sets whose products leave the float range even so
+    (many nodes with gaps tiny against their spread) are unsupported.
     """
     etas = _line(np.atleast_1d(as_floats(etas, "eta")), "eta")
     z = _line(nodes, "nodes")
-    n = len(z)
-    if np.unique(z).size < n:
-        raise DegenerateNodesError("interpolation nodes contain duplicates")
-    # The differences at the nodes go through the same operations as those at
-    # etas, so the denominators are the numerators at eta = z_j, as in
-    # `nodes._cardinal_denominators`, and a node's row is exact.
-    x = np.concatenate([z, etas])[:, None] - z
-    x *= np.ldexp(1.0, 2 - np.frexp(np.abs(x[:n]).max(initial=0.0))[1])
-    products = _exclusive_products(x)
-    return products[n:] / products[:n].diagonal()
+    _distinct(z)
+    scale = np.ldexp(1.0, 2 - np.frexp(z.max() - z.min() if len(z) else 0.0)[1])
+    return (_exclusive_products((etas[:, None] - z) * scale)
+            / _cardinal_denominators(z * scale))
 
 
 def _cardinal_rows(basis, etas, deriv):

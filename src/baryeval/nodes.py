@@ -27,14 +27,13 @@ NodeSet is read-only and compares by identity.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError, DegenerateNodesError, InvalidInputError, InvalidSizeError, as_floats)
+from .errors import (ConvergenceError, DegenerateNodesError, InvalidInputError,
+                     InvalidSizeError, as_floats, as_index)
 
 MAX_NODES = 64
 
@@ -62,15 +61,14 @@ def _jacobi_roots(m, a, b):
 
 def _check(kind, n):
     """n as an int in [2, MAX_NODES], refusing it or an unknown kind."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidSizeError(f"node count must be an integer, got {n!r}") from None
-    if not 2 <= n <= MAX_NODES:
-        raise InvalidSizeError(f"node count must be in [2, {MAX_NODES}], got {n}")
+    size = as_index(n)
+    if size is None:
+        raise InvalidSizeError(f"node count must be an integer, got {n!r}")
+    if not 2 <= size <= MAX_NODES:
+        raise InvalidSizeError(f"node count must be in [2, {MAX_NODES}], got {size}")
     if not isinstance(kind, NodeKind):
         raise InvalidSizeError(f"unknown node kind: {kind!r}")
-    return n
+    return size
 
 
 def generate_nodes(kind, n):
@@ -101,6 +99,12 @@ def _line(values, what):
     return x
 
 
+def _distinct(z):
+    """Refuse nodes z that repeat a value."""
+    if np.unique(z).size < len(z):
+        raise DegenerateNodesError("interpolation nodes contain duplicates")
+
+
 def bary_weights(nodes):
     """Barycentric weights w_j = 1 / prod_{i != j}(z_i - z_j).
 
@@ -108,11 +112,8 @@ def bary_weights(nodes):
     give inf or 0 weights and are unsupported; `NodeSet` refuses them.
     """
     z = _line(nodes, "nodes")
-    n = len(z)
+    _distinct(z)
     diffs = z[None, :] - z[:, None]  # diffs[j, i] = z_i - z_j
-    off_diag = ~np.eye(n, dtype=bool)
-    if np.any(diffs[off_diag] == 0.0):
-        raise DegenerateNodesError("interpolation nodes contain duplicates")
     np.fill_diagonal(diffs, 1.0)
     return 1.0 / diffs.prod(axis=1)
 
@@ -126,10 +127,9 @@ def diff_matrix(nodes, weights):
     z, w = _line(nodes, "nodes"), _line(weights, "weights")
     if w.shape != z.shape:
         raise InvalidInputError(f"{len(z)} nodes need {len(z)} weights, got {len(w)}")
+    _distinct(z)
     dz = z[:, None] - z[None, :]
     np.fill_diagonal(dz, 1.0)
-    if not dz.all():
-        raise DegenerateNodesError("interpolation nodes contain duplicates")
     if not w.all():
         raise DegenerateNodesError("barycentric weights contain a zero")
     d = (w[None, :] / w[:, None]) / dz

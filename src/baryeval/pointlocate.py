@@ -42,14 +42,13 @@ exactly zero det J.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .element import ElementEvaluator
-from .errors import ConfigError, InvalidInputError, SingularCollapseError
+from .errors import ConfigError, InvalidInputError, SingularCollapseError, as_index
 from .shapes import (
     Shape, _check_basis, _finite_floats, _floats, _inside, centroid, contains_batch, spec_for)
 from .tensor import _check_field
@@ -71,11 +70,8 @@ class LocateConfig:
     keep_history: bool = False
 
     def __post_init__(self):
-        try:
-            max_iters = operator.index(self.max_iters)
-        except TypeError:
-            max_iters = 0
-        if max_iters < 1:
+        max_iters = as_index(self.max_iters)
+        if max_iters is None or max_iters < 1:
             raise ConfigError(f"max_iters must be a positive integer, got {self.max_iters!r}")
         object.__setattr__(self, "max_iters", max_iters)
 

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, OutOfRegionError, SingularCollapseError, as_floats
+from .errors import InvalidInputError, OutOfRegionError, SingularCollapseError, as_floats, as_index
 from .tensor import _check_tensor_basis
 
 # A collapse denominator smaller than this is treated as singular.
@@ -203,9 +203,12 @@ def centroid(shape):
 def ancestors(shape, q):
     """The set of dimensions whose degrees accumulate onto dimension q."""
     spec = SHAPE_SPECS[shape]
-    if not 1 <= q <= spec.dim:
-        raise InvalidInputError(f"dimension index {q} out of range 1..{spec.dim}")
-    return spec.ancestor_sets[q - 1]
+    index = as_index(q)
+    if index is None:
+        raise InvalidInputError(f"dimension index q must be an integer, got {q!r}")
+    if not 1 <= index <= spec.dim:
+        raise InvalidInputError(f"dimension index {index} out of range 1..{spec.dim}")
+    return spec.ancestor_sets[index - 1]
 
 
 def _check_basis(shape, basis):
@@ -224,16 +227,31 @@ def _check_basis(shape, basis):
     return spec
 
 
+def _integers(values, what):
+    """values, a sequence of integers (`errors.as_index`), as a list of ints;
+    anything else raises InvalidInputError naming `what`."""
+    try:
+        out = [as_index(v) for v in values]
+    except TypeError:  # not a sequence
+        out = [None]
+    if None in out:
+        raise InvalidInputError(f"{what} must be a sequence of integers, got {values!r}")
+    return out
+
+
 def exactness_contains(shape, k, alpha):
     """Whether the monomial xi^alpha is evaluated exactly on a degree-k grid.
 
-    True iff sum_{j in g(q)} alpha_j <= k_q for every dimension q.
+    True iff sum_{j in g(q)} alpha_j <= k_q for every dimension q.  k is one
+    integer for every dimension or d integers, and alpha d integers.
     """
     spec = SHAPE_SPECS[shape]
-    k = np.broadcast_to(np.asarray(k, dtype=int), (spec.dim,))
-    alpha = np.asarray(alpha, dtype=int)
-    if len(alpha) != spec.dim:
-        raise InvalidInputError(f"alpha has dim {len(alpha)}, shape needs {spec.dim}")
+    degree = as_index(k)
+    k = _integers(k, "k") if degree is None else [degree] * spec.dim
+    alpha = _integers(alpha, "alpha")
+    for name, values in (("k", k), ("alpha", alpha)):
+        if len(values) != spec.dim:
+            raise InvalidInputError(f"{name} has dim {len(values)}, shape needs {spec.dim}")
     return all(sum(alpha[j - 1] for j in g) <= kq for g, kq in zip(spec.ancestor_sets, k))
 
 

@@ -168,18 +168,18 @@ def _contract(basis, samples, eta, gradient, one):
 def _contract_batch(samples, rows):
     """Values, and with derivative rows cube-space gradients, of F fields at M points.
 
-    samples is the (E, n1, F N / n1) stack of `_stage1` matrices, one element
-    here (E = 1); rows[q] is the (M, R, n_q) stack of the cardinal rows of
-    axis q at every point, [l_q] (R = 1) or [l_q; l_q'] (R = 2).  Stage 1 is
-    one product of the stacked axis-1 rows of all points with the samples.
+    samples is the (n1, F N / n1) matrix of `_stage1`, as for `_contract`;
+    rows[q] is the (M, R, n_q) stack of the cardinal rows of axis q at every
+    point, [l_q] (R = 1) or [l_q; l_q'] (R = 2).  Stage 1 is one product of
+    the stacked axis-1 rows of all points with the samples.
     Each later axis is one batched product over the points that reduces, as
     `_contract` does, every part held so far with l_q and the value part also
     with l_q'.  Returns the (M, P, F) parts, P = 1 or 1 + d: the value, then
     d/deta_1, ..., d/deta_d.
     """
     m, r, n1 = rows[0].shape
-    width = r * samples.shape[2]  # per point; not -1 in a reshape, which M = 0 leaves undefined
-    parts = np.matmul(rows[0].reshape(1, m * r, n1), samples).reshape(m, width)
+    width = r * samples.shape[1]  # per point; not -1 in a reshape, which M = 0 leaves undefined
+    parts = (rows[0].reshape(m * r, n1) @ samples).reshape(m, width)
     for q in range(1, len(rows)):
         n = rows[q].shape[2]
         lines = parts.reshape(m, width // n, n).transpose(0, 2, 1)

@@ -421,6 +421,51 @@ def test_evaluate_agrees_with_phys_evaluate(shape, order):
             assert np.all(np.abs(got.d1 - grads) <= 1e-10 * scale), kind
 
 
+def _polynomial(alphas, coeffs):
+    """Value and gradient of sum_t coeffs[t] xi^alphas[t], at one point or an (M, d) array."""
+    d = alphas.shape[1]
+    lowered = [np.maximum(alphas - np.eye(d, dtype=int)[q], 0) for q in range(d)]
+
+    def monomials(xi, exps):
+        # xi_q^e for e = 0..max from a table of repeated products, one per exponent row
+        xi = np.asarray(xi, dtype=float)[..., None]
+        table = np.cumprod(np.concatenate([np.ones_like(xi)] + [xi] * alphas.max(), axis=-1),
+                           axis=-1)
+        return np.prod(table[..., np.arange(d), exps], axis=-1)
+
+    def value(xi):
+        return monomials(xi, alphas) @ coeffs
+
+    def grad(xi):
+        return np.stack([monomials(xi, low) @ (coeffs * alphas[:, q])
+                         for q, low in enumerate(lowered)], axis=-1)
+
+    return value, grad
+
+
+@pytest.mark.parametrize("order", [3, 12])
+@pytest.mark.parametrize("shape", [Shape.TRI, Shape.PRISM, Shape.PYR, Shape.TET])
+def test_gradients_next_to_a_collapsed_vertex(shape, order):
+    # The README's bound: for a polynomial in the exactness space, a gradient
+    # at distance D (`singular_distance`) from the collapsed vertex (prism:
+    # edge) is off by at most 1e-13 max(1, |g|_inf) / D, |g|_inf the largest
+    # exact gradient over the points.  Both `evaluate` and `phys_evaluate`,
+    # which snaps a grid point's perturbed cube coordinates onto the nodes,
+    # on every grid point and the points of `_collocated_on_one_axis`.
+    rng = np.random.default_rng(order)
+    basis = basis_for_order(shape, order)
+    alphas = np.array(exact_multi_indices(shape, order + 1))
+    value, grad = _polynomial(alphas, rng.uniform(-1.0, 1.0, len(alphas)))
+    ev = ElementEvaluator(shape, basis, sample_field(shape, basis, value))
+    pts = np.concatenate([xi_grid(shape, basis), _collocated_on_one_axis(shape, basis, rng)])
+    want = grad(pts)
+    bound = 1e-13 * max(1.0, np.abs(want).max()) / np.array(
+        [singular_distance(shape, xi) for xi in pts])
+    single = np.array([ev.phys_evaluate(xi, gradient=True).d1 for xi in pts])
+    for got in (ev.evaluate(pts, gradient=True).d1, single):
+        assert np.all(np.abs(got - want).max(axis=1) <= bound)
+
+
 @pytest.mark.parametrize("shape", ALL_SHAPES)
 def test_evaluate_refuses_with_the_index_of_the_first_bad_point(shape):
     ev = ElementEvaluator.for_order(shape, 3, benchmark_field(dim_of(shape)).eval)

@@ -9,6 +9,8 @@ each row of `CASES` names an entry point and an input its owner refuses.
 Every caller-supplied number is read by one helper, `errors.as_floats`, so
 each entry point of `READERS` turns anything NumPy cannot read as real
 numbers into a BaryevalError, and returns finite numbers for the rest.
+Every integer argument is read by `errors.as_index`, so each row of
+`INTEGERS` is refused with an InvalidInputError that names the argument.
 """
 
 import dataclasses
@@ -49,7 +51,10 @@ from baryeval import (
     sample_on_grid,
     tensor_evaluate,
 )
+from baryeval.bench import run_bench
+from baryeval.fields import exact_multi_indices, monomial_field
 from baryeval.pointlocate import project_into_region
+from baryeval.shapes import ancestors
 
 TRI = basis_for_order(Shape.TRI, 3)  # N = 25
 QUAD = basis_for_order(Shape.QUAD, 3)
@@ -145,6 +150,40 @@ CASES = {
     "exactness_contains, three exponents for a triangle":
         lambda: exactness_contains(Shape.TRI, 3, [1, 0, 0]),
 }
+
+# Integer arguments are read by `errors.as_index`, which reads NumPy
+# integers too; anything else is refused with InvalidInputError naming the
+# argument.  Each row: (call, the argument's name in the message).
+INTEGERS = {
+    "exactness_contains, exponents 1.7 and 0.2":
+        (lambda: exactness_contains(Shape.TRI, 3, [1.7, 0.2]), "alpha"),
+    "exactness_contains, exponents 'ab'": (lambda: exactness_contains(Shape.TRI, 3, "ab"), "alpha"),
+    "exactness_contains, three degrees for a triangle":
+        (lambda: exactness_contains(Shape.TRI, [3, 2, 1], [1, 1]), "k"),
+    "ancestors, dimension '1'": (lambda: ancestors(Shape.TET, "1"), "q"),
+    "basis_for_order, order '3'": (lambda: basis_for_order(Shape.TRI, "3"), "order"),
+    "basis_for_order, order None": (lambda: basis_for_order(Shape.TRI, None), "order"),
+    "exact_multi_indices, degree 2.5": (lambda: exact_multi_indices(Shape.TRI, 2.5), "k"),
+    "run_bench, reps 2.5":
+        (lambda: run_bench(shapes=[Shape.SEGMENT], orders=[2], reps=2.5), "reps"),
+    "monomial_field, exponent 1.5": (lambda: monomial_field([1.5, 0]), "alpha"),
+}
+CASES.update({name: call for name, (call, _) in INTEGERS.items()})
+
+
+@pytest.mark.parametrize("case", INTEGERS)
+def test_integer_arguments_are_refused_by_name(case):
+    call, name = INTEGERS[case]
+    with pytest.raises(InvalidInputError, match=rf"\b{name}\b"):
+        call()
+
+
+def test_numpy_integers_are_read_as_integers():
+    assert exactness_contains(Shape.TRI, np.int64(3), np.array([1, 2]))
+    assert ancestors(Shape.TET, np.int64(2)) == ancestors(Shape.TET, 2)
+    assert basis_for_order(Shape.TRI, np.int64(3)) == basis_for_order(Shape.TRI, 3)
+    assert exact_multi_indices(Shape.TRI, np.int64(2)) == exact_multi_indices(Shape.TRI, 2)
+    assert monomial_field(np.array([2, 1])).eval([0.5, 3.0]) == 0.75
 
 # Every entry point that takes a basis refuses one that is not a TensorBasis.
 NOT_A_BASIS = {"[1, 2]": [1, 2], "None": None, "a tuple of node sets": TRI.axes}

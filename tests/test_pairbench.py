@@ -60,3 +60,26 @@ def test_even_count_median_and_quartiles():
                                          ("7", [7]), ("1,5,9", [1, 5, 9])])
 def test_seed_ranges_and_lists(text, seeds):
     assert pairbench.parse_seeds(text) == seeds
+
+
+def test_worsening_is_signed_by_direction_and_carries_the_bound():
+    # the change's median is 0.8 of the parent's: 20% worse for a rate, 20% better for a time
+    got = pairbench.summarize(_pairs([10.0, 10.0, 10.0], [8.0, 8.0, 8.0]), METRICS)
+    assert got["rate"]["change_worse_by"] == pytest.approx(0.2)
+    assert got["time"]["change_worse_by"] == pytest.approx(-0.2)
+    assert got["rate"]["bound"] == got["time"]["bound"] == 0.24
+
+
+def test_parent_spread_over_its_median():
+    got = pairbench.summarize(_pairs([1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 5), METRICS)["time"]
+    assert got["parent_iqr_over_median"] == pytest.approx((4.0 - 2.0) / 3.0)
+    assert got["change_worse_by"] == pytest.approx(1.0 / 3.0 - 1.0)
+
+
+def test_one_report_line_per_metric():
+    summary = pairbench.summarize(_pairs([10.0, 10.0], [12.0, 12.0]), METRICS)
+    lines = pairbench.report_lines(summary, 2)
+    assert len(lines) == 2
+    assert lines[0] == ("rate: change/parent 1.200, worse by -0.200 (bound 0.24), "
+                        "parent IQR/median 0.000, change better in 2/2 pairs")
+    assert lines[1].startswith("time: change/parent 1.200, worse by +0.200 (bound 0.24)")

@@ -10,10 +10,14 @@ the parent first on the first seed.  Every run must exit cleanly.  For each
 workload it writes BENCH_<workload>.json to --out (default: the current
 directory) with
 
-* `summary`: per end-to-end metric of BENCHMARK.json, its unit and
-  direction, the median and quartiles of each side's calibrated values,
-  `change_over_parent` (change median / parent median) and
-  `pairs_change_better` (pairs in which the change read strictly better);
+* `summary`: per end-to-end metric of BENCHMARK.json, its unit, direction
+  and `bound`, the median and quartiles of each side's calibrated values,
+  `change_over_parent` (change median / parent median),
+  `pairs_change_better` (pairs in which the change read strictly better),
+  `change_worse_by` (how much worse the change's median is than the
+  parent's, relative to the parent's, in the metric's direction: positive
+  when worse, to hold against `bound`) and `parent_iqr_over_median` (the
+  spread of the parent's runs, relative to its median);
 * `sweep_rounds`: the number of rounds each side's sweep metrics are the
   median of, per run;
 * `pairs`: per seed, which side ran first and both result files.
@@ -40,7 +44,7 @@ def summarize(pairs, metrics):
 
     `pairs` holds {"parent": record, "change": record} items, each record
     with an `end_to_end` mapping of metric name to value; `metrics` is the
-    `end_to_end` list of BENCHMARK.json (name, unit, better).
+    `end_to_end` list of BENCHMARK.json (name, unit, better, bound).
     """
     out = {}
     for m in metrics:
@@ -49,14 +53,27 @@ def summarize(pairs, metrics):
                   for side in SIDES}
         better = values["change"] > values["parent"] if higher else (
             values["change"] < values["parent"])
-        entry = {"unit": m["unit"], "better": m["better"]}
+        entry = {"unit": m["unit"], "better": m["better"], "bound": m["bound"]}
         for side in SIDES:
             entry[f"{side}_median"] = float(np.median(values[side]))
             entry[f"{side}_quartiles"] = np.percentile(values[side], [25, 75]).tolist()
         entry["change_over_parent"] = entry["change_median"] / entry["parent_median"]
         entry["pairs_change_better"] = int(better.sum())
+        ratio = entry["change_over_parent"]
+        entry["change_worse_by"] = 1.0 - ratio if higher else ratio - 1.0
+        low, high = entry["parent_quartiles"]
+        entry["parent_iqr_over_median"] = (high - low) / entry["parent_median"]
         out[name] = entry
     return out
+
+
+def report_lines(summary, n_pairs):
+    """One line per metric of `summarize`: the ratio, the worsening against its bound, the
+    parent's spread and the pairs won."""
+    return [f"{name}: change/parent {e['change_over_parent']:.3f}, worse by "
+            f"{e['change_worse_by']:+.3f} (bound {e['bound']}), parent IQR/median "
+            f"{e['parent_iqr_over_median']:.3f}, change better in "
+            f"{e['pairs_change_better']}/{n_pairs} pairs" for name, e in summary.items()]
 
 
 def parse_seeds(text):
@@ -122,6 +139,9 @@ def main(argv=None):
                       f"correct={pair[side]['correct']} failed={pair[side]['failed']}", flush=True)
             pairs.append(pair)
         shell = " ".join(command)
+        summary = summarize(pairs, spec["end_to_end"])
+        for line in report_lines(summary, len(pairs)):
+            print(f"{workload} {line}", flush=True)
         record = {
             "workload": workload,
             "command": f"{shell} --workload {workload} --seed SEED --seconds {seconds} --trace 0",
@@ -131,7 +151,7 @@ def main(argv=None):
                       + args.about),
             "machine": f"{os.cpu_count()}-CPU {platform.machine()}, one process and one BLAS "
                        "thread per run",
-            "summary": summarize(pairs, spec["end_to_end"]),
+            "summary": summary,
             "sweep_rounds": {side: [p[side]["details"]["rounds"]["sweeps"] for p in pairs]
                              for side in SIDES},
             "pairs": pairs,
