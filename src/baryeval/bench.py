@@ -49,14 +49,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import ElementEvaluator, axis_kinds, basis_for_order, sample_field, xi_grid
+from .element import ElementEvaluator, basis_for_order, basis_for_shape, sample_field, xi_grid
 from .errors import InvalidInputError, ReportError, as_index
 from .fields import benchmark_field, random_interior_point
 from .kernel import _reduce_lines
 from .lagrange import build_operator
-from .nodes import MAX_NODES, make_node_set
+from .nodes import MAX_NODES
 from .shapes import ALL_SHAPES, Shape, _chain_rule, _collapse, dim_of, shape_from_name, spec_for
-from .tensor import TensorBasis, _contract
+from .tensor import _contract
 
 METHOD_BARY = "bary"
 METHOD_CACHED = "matrix_cached"
@@ -66,12 +66,13 @@ METHODS = (METHOD_BARY, METHOD_CACHED, METHOD_RECOMPUTED)
 Q_VALUE = "value"
 Q_VALUE_D1 = "value_d1"
 Q_VALUE_D1_D2 = "value_d1_d2"
+# The derivative order of each quantity; p'' exists on segments only.
+QUANTITIES = {Q_VALUE: 0, Q_VALUE_D1: 1, Q_VALUE_D1_D2: 2}
 
 CSV_HEADER = ["shape", "order", "method", "quantity",
               "sample_points", "reps", "mean_ns", "stddev_ns"]
 
 _DEFAULT_REPS = {1: 1000, 2: 100, 3: 100}
-_SAMPLING_COUNTS = {1: (64,), 2: (8, 8), 3: (4, 4, 4)}
 
 
 @dataclass
@@ -87,10 +88,8 @@ class BenchRecord:
 
 
 def sampling_basis(shape):
-    """The fixed 64-point sampling grid, same node families as the element."""
-    counts = _SAMPLING_COUNTS[dim_of(shape)]
-    kinds = axis_kinds(shape)
-    return TensorBasis(tuple(make_node_set(k, n) for k, n in zip(kinds, counts)))
+    """The fixed sampling grid of n^d = 64 points, same node families as the element."""
+    return basis_for_shape(shape, 2 ** (6 // dim_of(shape)))
 
 
 def sampling_points(shape):
@@ -99,9 +98,7 @@ def sampling_points(shape):
 
 
 def quantities_for(dim):
-    if dim == 1:
-        return (Q_VALUE, Q_VALUE_D1, Q_VALUE_D1_D2)
-    return (Q_VALUE, Q_VALUE_D1)
+    return tuple(q for q, deriv in QUANTITIES.items() if deriv < 2 or dim == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +158,7 @@ class _BarySweep:
         self.basis = evaluator.basis
         self.data = evaluator._samples
         self.pts = [tuple(map(float, p)) for p in np.atleast_2d(points)]
-        self.deriv = 2 if quantity == Q_VALUE_D1_D2 else int(quantity != Q_VALUE)
+        self.deriv = QUANTITIES[quantity]
 
     def __call__(self):
         spec, basis, data, deriv = self.spec, self.basis, self.data, self.deriv
@@ -200,17 +197,16 @@ class _CachedSweep:
 
     def __init__(self, evaluator, points, quantity):
         self.evaluator = evaluator
-        self.quantity = quantity
+        self.deriv = QUANTITIES[quantity]
         self.op = build_operator(evaluator.shape, evaluator.basis, points,
-                                 want_derivs=quantity != Q_VALUE)
+                                 want_derivs=self.deriv > 0)
 
     def __call__(self):
         op, field = self.op, self.evaluator.field.data
         values = op.value_matrix @ field
         if op.deriv_matrices is None:
             return values, None, None
-        d2s = (_d2_values(op.value_matrix, self.evaluator)
-               if self.quantity == Q_VALUE_D1_D2 else None)
+        d2s = _d2_values(op.value_matrix, self.evaluator) if self.deriv == 2 else None
         return values, (op.deriv_matrices @ field).T, d2s
 
 
@@ -226,12 +222,12 @@ class _RebuiltSweep:
         self.z = [ax.nodes.tolist() for ax in evaluator.basis.axes]
         self.field = evaluator.field.data
         self.pts = [tuple(map(float, p)) for p in np.atleast_2d(points)]
-        self.quantity = quantity
+        self.deriv = QUANTITIES[quantity]
 
     def __call__(self):
         spec, z, field = self.spec, self.z, self.field
         etas = [_collapse(spec, xi) for xi in self.pts]
-        if self.quantity == Q_VALUE:
+        if self.deriv == 0:
             rows = [_tensor_row(list(map(_scalar_cards, z, eta))) for eta in etas]
             return np.asarray(rows) @ field, None, None
         value_rows = []
@@ -244,8 +240,7 @@ class _RebuiltSweep:
         value_matrix = np.asarray(value_rows)
         geta = (np.asarray(deriv_rows) @ field).T.tolist()
         grads = np.array([_chain_rule(spec, eta, g) for eta, g in zip(etas, geta)])
-        d2s = (_d2_values(value_matrix, self.evaluator)
-               if self.quantity == Q_VALUE_D1_D2 else None)
+        d2s = _d2_values(value_matrix, self.evaluator) if self.deriv == 2 else None
         return value_matrix @ field, grads, d2s
 
 
@@ -260,21 +255,22 @@ _CHECK_TOLS = {"value": 1e-11, "d1": 1e-10, "d2": 1e-8}
 
 def _crosscheck(evaluator, points, sweeps, quantity):
     """All methods must agree with the per-point evaluator before timing."""
+    deriv = QUANTITIES[quantity]
     outputs = {name: sweep() for name, sweep in sweeps.items()}
     for i, xi in enumerate(points):
-        if quantity == Q_VALUE_D1_D2:
+        if deriv == 2:
             ref = evaluator.phys_evaluate_1d(xi, deriv=2)
             ref_vals = [("value", ref.value), ("d1", ref.d1[0]), ("d2", ref.d2)]
-        elif quantity == Q_VALUE_D1:
+        elif deriv == 1:
             ref = evaluator.phys_evaluate(xi, gradient=True)
             ref_vals = [("value", ref.value)] + [("d1", g) for g in ref.d1]
         else:
             ref_vals = [("value", evaluator.phys_evaluate(xi).value)]
         for name, (values, grads, d2s) in outputs.items():
             got = [values[i]]
-            if quantity != Q_VALUE:
+            if deriv:
                 got.extend(np.atleast_1d(grads[i]))
-            if quantity == Q_VALUE_D1_D2:
+            if deriv == 2:
                 got.append(d2s[i])
             for g, (kind, r) in zip(got, ref_vals):
                 if abs(g - r) > _CHECK_TOLS[kind] * max(1.0, abs(r)):
@@ -302,24 +298,46 @@ def _time_sweep(sweep, reps):
     return float(times.mean()), float(times.std())
 
 
-def _check_order(order):
-    if not 2 <= order <= MAX_NODES - 2:
-        raise InvalidInputError(
-            f"order must lie in [2, {MAX_NODES - 2}], got {order}"
-        )
+def _checked_sweeps(evaluator, points, methods, quantity):
+    """The sweeps of `methods` on points, cross-checked before any timing."""
+    sweeps = {method: _SWEEPS[method](evaluator, points, quantity) for method in methods}
+    _crosscheck(evaluator, points, sweeps, quantity)
+    return sweeps
+
+
+def _cells(shapes, orders, order_range, default_orders):
+    """The shapes and orders of `run_bench` or `run_verify` as lists.
+
+    Shapes are Shape members, all of them when none are given; orders are
+    integers (`errors.as_index`) in order_range, default_orders when none
+    are given.  Anything else raises InvalidInputError naming the argument.
+    """
+    shapes = list(shapes) if shapes else list(ALL_SHAPES)
+    if not all(isinstance(shape, Shape) for shape in shapes):
+        raise InvalidInputError(f"shapes must be Shape members, got {shapes!r}")
+    lo, hi = order_range
+    read = [as_index(order) for order in orders] if orders else list(default_orders)
+    if not all(order is not None and lo <= order <= hi for order in read):
+        raise InvalidInputError(f"orders must be integers in [{lo}, {hi}], got {orders!r}")
+    return shapes, read
 
 
 def run_bench(shapes=None, orders=None, reps=None, seed=0, methods=METHODS, quantities=None):
     """Time all requested cells; returns a list of BenchRecord."""
-    shapes = list(shapes) if shapes else list(ALL_SHAPES)
-    orders = list(orders) if orders else list(range(2, 21))
-    for order in orders:
-        _check_order(order)
+    shapes, orders = _cells(shapes, orders, (2, MAX_NODES - 2), range(2, 21))
     if reps is not None:
         count = as_index(reps)
         if count is None or count < 1:
             raise InvalidInputError(f"reps must be an integer >= 1, got {reps!r}")
         reps = count
+    methods, quantities = tuple(methods), tuple(quantities or ())
+    if not all(method in METHODS for method in methods):
+        raise InvalidInputError(f"methods must be among {', '.join(METHODS)}, got {methods!r}")
+    for shape in shapes:
+        defined = quantities_for(dim_of(shape))
+        if not all(quantity in defined for quantity in quantities):
+            raise InvalidInputError(f"quantities of a {shape.value} must be among "
+                                    f"{', '.join(defined)}, got {quantities!r}")
     rng = np.random.default_rng(seed)
     records = []
     for shape in shapes:
@@ -332,17 +350,11 @@ def run_bench(shapes=None, orders=None, reps=None, seed=0, methods=METHODS, quan
             field = sample_field(shape, basis, fld.eval)
             evaluator = ElementEvaluator(shape, basis, field)
             for quantity in quantities or quantities_for(dim):
-                sweeps = {
-                    method: _SWEEPS[method](evaluator, points, quantity)
-                    for method in methods
-                }
                 extra = np.array([random_interior_point(shape, rng, margin=0.01,
                                                         singular_margin=0.05)
                                   for _ in range(5)])
-                check_sweeps = {name: _SWEEPS[name](evaluator, extra, quantity)
-                                for name in sweeps}
-                _crosscheck(evaluator, extra, check_sweeps, quantity)
-                _crosscheck(evaluator, points, sweeps, quantity)
+                _checked_sweeps(evaluator, extra, methods, quantity)
+                sweeps = _checked_sweeps(evaluator, points, methods, quantity)
                 for method, sweep in sweeps.items():
                     mean_ns, std_ns = _time_sweep(sweep, cell_reps)
                     records.append(

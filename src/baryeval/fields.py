@@ -10,8 +10,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import InvalidInputError, as_floats, as_index
-from .shapes import (SINGULAR_TOL, _denominators, _integers, contains_point, dim_of,
+from .errors import InvalidInputError, as_floats
+from .shapes import (SINGULAR_TOL, _degrees, _denominators, contains_point, dim_of,
                      exactness_contains, spec_for)
 
 
@@ -44,8 +44,8 @@ def benchmark_field(dim):
 
 
 def monomial_field(alpha):
-    """xi^alpha with its analytic gradient; alpha is a sequence of integers."""
-    alpha = np.array(_integers(alpha, "alpha"), dtype=int)
+    """xi^alpha with its analytic gradient; alpha is a sequence of non-negative integers."""
+    alpha = np.array(_degrees(alpha, "alpha"), dtype=int)
 
     def value(xi):
         xi = as_floats(xi, "point")
@@ -66,11 +66,10 @@ def monomial_field(alpha):
 
 
 def exact_multi_indices(shape, k):
-    """All monomial exponents evaluated exactly on an isotropic degree-k grid, k an integer."""
+    """All monomial exponents evaluated exactly on an isotropic degree-k grid,
+    k a non-negative integer."""
     d = dim_of(shape)
-    degree = as_index(k)
-    if degree is None:
-        raise InvalidInputError(f"degree k must be an integer, got {k!r}")
+    (degree,) = _degrees([k], "k")
     return [
         alpha
         for alpha in product(range(degree + 1), repeat=d)

@@ -205,10 +205,10 @@ def locate(problem):
     history, iterations = [], 0
     tol = GRAD_TOL * max(1.0, math.sqrt(_dot(target, target)))
 
-    for _ in range(cfg.max_iters):
+    while True:
         grad = [_dot(col, r) for col in zip(*jac)]  # J^T r
         gnorm = math.sqrt(_dot(grad, grad))
-        if gnorm <= tol or fval == 0.0:
+        if gnorm <= tol or fval == 0.0 or iterations == cfg.max_iters:
             break
         iterations += 1
         direction = _newton_direction(jac, r)
@@ -233,8 +233,6 @@ def locate(problem):
             history.append((fval, step[0], alpha, slope))
         fval, jac, r, xi = step
 
-    grad = [_dot(col, r) for col in zip(*jac)]
-    gnorm = math.sqrt(_dot(grad, grad))
     residual = math.sqrt(_dot(r, r))
     converged = gnorm <= tol and residual <= math.sqrt(2.0 * tol)
     return LocateResult(np.array(xi), residual, iterations, converged, history)

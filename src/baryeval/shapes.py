@@ -31,7 +31,8 @@ from the chains, with all other coordinates passed through unchanged:
 
 `ShapeSpec` derives the rest: the chains, g(q) = {q} | {a : q in C(a)}, the
 `along` dimensions b (Radau axes), the half-spaces as sparse rows and as
-arrays (A, b), the vertex average, and the face table of the region
+arrays (A, b), the vertices as the distinct images of the cube corners under
+`expand` (eta_1 fastest) and their average, and the face table of the region
 projection: x -> P_S x + q_S onto A_S x = b_S for every set S of <= d rows.
 
 Collapse clamps every eta into [-1, 1]: a point admitted by a region
@@ -77,17 +78,30 @@ class Shape(enum.Enum):
     TET = "tet"
 
 
+def _expand(chains, etas):
+    """Region points of the (M, d) cube points etas: xi_a from the chain of
+    every collapsed axis a, every other coordinate passed through."""
+    xis = etas.copy()
+    for a, chain, _ in chains:
+        x = 1.0 + etas[:, a]
+        for b in chain:
+            x = x * (0.5 * (1.0 - etas[:, b]))
+        xis[:, a] = x - 1.0
+    return xis
+
+
 @dataclass(frozen=True)
 class ShapeSpec:
     shape: Shape
     dim: int
     duffy_pairs: tuple        # ((a, b), ...) collapse pairs, a collapses along b
-    vertices: tuple           # corner points of the reference region
     halfspaces: tuple         # ((a, b), ...): the region is a.xi <= b for each row
     # Derived (module docstring), arrays read-only: chains as ((a, C(a),
     # 2 - |C(a)|), ...), 0-based, in descending a for the chain rule; region
-    # rows (((i, a_i), ...), b); faces (P_S stacked as (K d, d), q_S as (K, d)).
+    # rows (((i, a_i), ...), b); faces (P_S stacked as (K d, d), q_S as (K, d));
+    # vertices as tuples of floats.
     chains: tuple = field(init=False, repr=False, compare=False)
+    vertices: tuple = field(init=False, repr=False, compare=False)
     ancestor_sets: tuple = field(init=False, repr=False, compare=False)
     along: frozenset = field(init=False, repr=False, compare=False)
     region: tuple = field(init=False, repr=False, compare=False)
@@ -106,6 +120,8 @@ class ShapeSpec:
                 chain.append(b - 1)
                 ancestor_sets[b - 1].add(a)
             chains.append((a - 1, tuple(chain), 2.0 - len(chain)))
+        corners = np.array([c[::-1] for c in itertools.product((-1.0, 1.0), repeat=self.dim)])
+        vertices = tuple(dict.fromkeys(map(tuple, _expand(chains, corners).tolist())))
         region = tuple(
             (tuple((i, float(c)) for i, c in enumerate(a) if c), float(b))
             for a, b in self.halfspaces
@@ -119,10 +135,11 @@ class ShapeSpec:
         maps = [np.eye(self.dim) - pinv @ a[rows] for pinv, rows in zip(pinvs, sets)]
         shifts = [pinv @ b[rows] for pinv, rows in zip(pinvs, sets)]
         maps, shifts = (np.where(np.abs(x) < 1e-12, 0.0, x) for x in (maps, shifts))
-        mid = np.asarray(self.vertices, dtype=float).mean(axis=0)
+        mid = np.array(vertices).mean(axis=0)
         for x in (a, b, maps, shifts, mid):
             x.flags.writeable = False
         object.__setattr__(self, "chains", tuple(sorted(chains, reverse=True)))
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "ancestor_sets", tuple(map(frozenset, ancestor_sets)))
         object.__setattr__(self, "along", frozenset(along.values()))
         object.__setattr__(self, "region", region)
@@ -132,43 +149,33 @@ class ShapeSpec:
 
 
 SHAPE_SPECS = {
-    Shape.SEGMENT: ShapeSpec(
-        Shape.SEGMENT, 1, (), ((-1.0,), (1.0,)),
-        (((1,), 1.0), ((-1,), 1.0)),
-    ),
+    Shape.SEGMENT: ShapeSpec(Shape.SEGMENT, 1, (), (((1,), 1.0), ((-1,), 1.0))),
     Shape.QUAD: ShapeSpec(
-        Shape.QUAD, 2, (), ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)),
+        Shape.QUAD, 2, (),
         (((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)),
     ),
     Shape.TRI: ShapeSpec(
-        Shape.TRI, 2, ((1, 2),), ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)),
-        (((-1, 0), 1.0), ((0, -1), 1.0), ((1, 1), 0.0)),
+        Shape.TRI, 2, ((1, 2),), (((-1, 0), 1.0), ((0, -1), 1.0), ((1, 1), 0.0)),
     ),
     Shape.HEX: ShapeSpec(
         Shape.HEX, 3, (),
-        tuple((x, y, z) for z in (-1.0, 1.0) for y in (-1.0, 1.0) for x in (-1.0, 1.0)),
         (((1, 0, 0), 1.0), ((-1, 0, 0), 1.0),
          ((0, 1, 0), 1.0), ((0, -1, 0), 1.0),
          ((0, 0, 1), 1.0), ((0, 0, -1), 1.0)),
     ),
     Shape.PRISM: ShapeSpec(
         Shape.PRISM, 3, ((1, 2),),
-        tuple((x, y, z) for z in (-1.0, 1.0) for (x, y) in ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))),
         (((-1, 0, 0), 1.0), ((0, -1, 0), 1.0), ((1, 1, 0), 0.0),
          ((0, 0, 1), 1.0), ((0, 0, -1), 1.0)),
     ),
     Shape.PYR: ShapeSpec(
         Shape.PYR, 3, ((1, 3), (2, 3)),
-        ((-1.0, -1.0, -1.0), (1.0, -1.0, -1.0), (1.0, 1.0, -1.0),
-         (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)),
         (((-1, 0, 0), 1.0), ((0, -1, 0), 1.0),
          ((1, 0, 1), 0.0), ((0, 1, 1), 0.0),
          ((0, 0, 1), 1.0), ((0, 0, -1), 1.0)),
     ),
     Shape.TET: ShapeSpec(
         Shape.TET, 3, ((1, 2), (2, 3)),
-        ((-1.0, -1.0, -1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0),
-         (-1.0, -1.0, 1.0)),
         (((-1, 0, 0), 1.0), ((0, -1, 0), 1.0), ((0, 0, -1), 1.0),
          ((1, 1, 1), -1.0)),
     ),
@@ -239,16 +246,24 @@ def _integers(values, what):
     return out
 
 
+def _degrees(values, what):
+    """`_integers` for degrees and exponents, which are non-negative."""
+    out = _integers(values, what)
+    if min(out, default=0) < 0:
+        raise InvalidInputError(f"{what} must be non-negative integers, got {values!r}")
+    return out
+
+
 def exactness_contains(shape, k, alpha):
     """Whether the monomial xi^alpha is evaluated exactly on a degree-k grid.
 
     True iff sum_{j in g(q)} alpha_j <= k_q for every dimension q.  k is one
-    integer for every dimension or d integers, and alpha d integers.
+    non-negative integer for every dimension or d of them, and alpha d
+    non-negative integers.
     """
     spec = SHAPE_SPECS[shape]
-    degree = as_index(k)
-    k = _integers(k, "k") if degree is None else [degree] * spec.dim
-    alpha = _integers(alpha, "alpha")
+    k = _degrees(k if as_index(k) is None else [k] * spec.dim, "k")
+    alpha = _degrees(alpha, "alpha")
     for name, values in (("k", k), ("alpha", alpha)):
         if len(values) != spec.dim:
             raise InvalidInputError(f"{name} has dim {len(values)}, shape needs {spec.dim}")
@@ -437,11 +452,4 @@ def jacobian_entries(shape, etas):
 def expand_batch(shape, etas):
     """Vectorized expand over an (M, d) array of cube points."""
     spec = SHAPE_SPECS[shape]
-    etas = _rows(spec, etas)
-    xis = etas.copy()
-    for a, chain, _ in spec.chains:
-        x = 1.0 + etas[:, a]
-        for b in chain:
-            x = x * (0.5 * (1.0 - etas[:, b]))
-        xis[:, a] = x - 1.0
-    return xis
+    return _expand(spec.chains, _rows(spec, etas))

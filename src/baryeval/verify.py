@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bench import sampling_points
+from .bench import _cells, sampling_points
 from .element import ElementEvaluator, basis_for_order, sample_field
-from .errors import InvalidInputError
 from .fields import benchmark_field, random_exact_monomial, random_interior_point
 from .lagrange import apply_operator, build_operator
-from .shapes import ALL_SHAPES, dim_of
+from .shapes import dim_of
 
 ORDER_RANGE = (2, 20)
 # Error bounds of the checks, and the random monomials and points per cell.
@@ -94,13 +93,7 @@ def check_gradients(shape, order, rng):
 
 def run_verify(shapes=None, orders=None, seed=0):
     """Run all sweeps; returns (all_passed, list of CheckResult)."""
-    shapes = list(shapes) if shapes else list(ALL_SHAPES)
-    orders = list(orders) if orders else list(range(2, 11))
-    for order in orders:
-        if not ORDER_RANGE[0] <= order <= ORDER_RANGE[1]:
-            raise InvalidInputError(
-                f"orders must lie in [{ORDER_RANGE[0]}, {ORDER_RANGE[1]}], got {order}"
-            )
+    shapes, orders = _cells(shapes, orders, ORDER_RANGE, range(2, 11))
     rng = np.random.default_rng(seed)
     results = []
     for shape in shapes:

@@ -10,7 +10,11 @@ Every caller-supplied number is read by one helper, `errors.as_floats`, so
 each entry point of `READERS` turns anything NumPy cannot read as real
 numbers into a BaryevalError, and returns finite numbers for the rest.
 Every integer argument is read by `errors.as_index`, so each row of
-`INTEGERS` is refused with an InvalidInputError that names the argument.
+`INTEGERS` is refused with an InvalidInputError that names the argument;
+a degree or an exponent is also non-negative (`shapes._degrees`).  The
+bench and the verify sweep read their shapes and orders by one rule
+(`bench._cells`) and the bench its methods and quantities before anything
+runs, so each row of `CELLS` is refused the same way.
 """
 
 import dataclasses
@@ -55,6 +59,7 @@ from baryeval.bench import run_bench
 from baryeval.fields import exact_multi_indices, monomial_field
 from baryeval.pointlocate import project_into_region
 from baryeval.shapes import ancestors
+from baryeval.verify import run_verify
 
 TRI = basis_for_order(Shape.TRI, 3)  # N = 25
 QUAD = basis_for_order(Shape.QUAD, 3)
@@ -167,13 +172,46 @@ INTEGERS = {
     "run_bench, reps 2.5":
         (lambda: run_bench(shapes=[Shape.SEGMENT], orders=[2], reps=2.5), "reps"),
     "monomial_field, exponent 1.5": (lambda: monomial_field([1.5, 0]), "alpha"),
+    # degrees and exponents are non-negative
+    "exactness_contains, exponent -1": (lambda: exactness_contains(Shape.TRI, 3, [-1, 0]), "alpha"),
+    "exactness_contains, degree -1": (lambda: exactness_contains(Shape.TRI, -1, [0, 0]), "k"),
+    "exact_multi_indices, degree -1": (lambda: exact_multi_indices(Shape.TRI, -1), "k"),
+    "monomial_field, exponent -1":
+        (lambda: monomial_field([-1, 0]).eval([0.5, 0.1]), "alpha"),
+    "run_bench, order '3'":
+        (lambda: run_bench(shapes=[Shape.TRI], orders=["3"], reps=1), "orders"),
+    "run_verify, order '3'": (lambda: run_verify([Shape.TRI], ["3"]), "orders"),
 }
 CASES.update({name: call for name, (call, _) in INTEGERS.items()})
+
+# The cells, methods and quantities of the bench and the verify sweep are
+# read before anything runs.  Each row: (call, the argument's name in the message).
+CELLS = {
+    "run_bench, shape 'tri'": (lambda: run_bench(shapes=["tri"], orders=[2], reps=1), "shapes"),
+    "run_verify, shape 'tri'": (lambda: run_verify(["tri"], [2]), "shapes"),
+    "run_bench, method 'foo'":
+        (lambda: run_bench(shapes=[Shape.TRI], orders=[2], reps=1, methods=("foo",)), "methods"),
+    "run_bench, quantity 'foo'":
+        (lambda: run_bench(shapes=[Shape.TRI], orders=[2], reps=1, quantities=("foo",)),
+         "quantities"),
+    # p'' exists on segments only
+    "run_bench, value_d1_d2 on a triangle":
+        (lambda: run_bench(shapes=[Shape.TRI], orders=[2], reps=1,
+                           quantities=("value_d1_d2",)), "quantities"),
+}
+CASES.update({name: call for name, (call, _) in CELLS.items()})
 
 
 @pytest.mark.parametrize("case", INTEGERS)
 def test_integer_arguments_are_refused_by_name(case):
     call, name = INTEGERS[case]
+    with pytest.raises(InvalidInputError, match=rf"\b{name}\b"):
+        call()
+
+
+@pytest.mark.parametrize("case", CELLS)
+def test_cell_arguments_are_refused_by_name(case):
+    call, name = CELLS[case]
     with pytest.raises(InvalidInputError, match=rf"\b{name}\b"):
         call()
 

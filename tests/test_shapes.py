@@ -285,6 +285,34 @@ def test_vertices_satisfy_halfspaces_and_are_corner_images(shape):
         assert any(np.array_equal(v, x) for v in spec.vertices)
 
 
+# Each shape's vertex set and centroid, as the geometry table once listed
+# them; `locate` starts every search without `init` at the centroid.
+GEOMETRY = {
+    Shape.SEGMENT: ({(-1.0,), (1.0,)}, (0.0,)),
+    Shape.QUAD: ({(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)}, (0.0, 0.0)),
+    Shape.TRI: ({(-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)},
+                (-0.3333333333333333, -0.3333333333333333)),
+    Shape.HEX: ({(x, y, z) for z in (-1.0, 1.0) for y in (-1.0, 1.0) for x in (-1.0, 1.0)},
+                (0.0, 0.0, 0.0)),
+    Shape.PRISM: ({(x, y, z) for z in (-1.0, 1.0)
+                   for (x, y) in ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))},
+                  (-0.3333333333333333, -0.3333333333333333, 0.0)),
+    Shape.PYR: ({(-1.0, -1.0, -1.0), (1.0, -1.0, -1.0), (1.0, 1.0, -1.0),
+                 (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)}, (-0.2, -0.2, -0.6)),
+    Shape.TET: ({(-1.0, -1.0, -1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0),
+                 (-1.0, -1.0, 1.0)}, (-0.5, -0.5, -0.5)),
+}
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_vertices_and_centroid_are_pinned(shape):
+    vertices, mid = GEOMETRY[shape]
+    spec = SHAPE_SPECS[shape]
+    assert len(spec.vertices) == len(vertices) and set(spec.vertices) == vertices
+    assert centroid(shape).tolist() == list(mid)  # bit for bit
+    assert spec.centroid.tolist() == list(mid)
+
+
 @pytest.mark.parametrize("shape", ALL_SHAPES)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_points_are_outside(shape, bad):
