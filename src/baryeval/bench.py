@@ -312,11 +312,18 @@ def _cells(shapes, orders, order_range, default_orders):
     integers (`errors.as_index`) in order_range, default_orders when none
     are given.  Anything else raises InvalidInputError naming the argument.
     """
-    shapes = list(shapes) if shapes else list(ALL_SHAPES)
+    cells = []
+    for what, values, default in (("shapes", shapes, ALL_SHAPES),
+                                  ("orders", orders, default_orders)):
+        try:
+            cells.append(list(() if values is None else values) or list(default))
+        except TypeError:  # not a sequence
+            raise InvalidInputError(f"{what} must be a sequence, got {values!r}") from None
+    shapes, orders = cells
     if not all(isinstance(shape, Shape) for shape in shapes):
         raise InvalidInputError(f"shapes must be Shape members, got {shapes!r}")
     lo, hi = order_range
-    read = [as_index(order) for order in orders] if orders else list(default_orders)
+    read = [as_index(order) for order in orders]
     if not all(order is not None and lo <= order <= hi for order in read):
         raise InvalidInputError(f"orders must be integers in [{lo}, {hi}], got {orders!r}")
     return shapes, read

@@ -189,6 +189,9 @@ CASES.update({name: call for name, (call, _) in INTEGERS.items()})
 CELLS = {
     "run_bench, shape 'tri'": (lambda: run_bench(shapes=["tri"], orders=[2], reps=1), "shapes"),
     "run_verify, shape 'tri'": (lambda: run_verify(["tri"], [2]), "shapes"),
+    "run_bench, a Shape, not a sequence":
+        (lambda: run_bench(shapes=Shape.TRI, orders=[2], reps=1), "shapes"),
+    "run_verify, an order, not a sequence": (lambda: run_verify([Shape.TRI], 3), "orders"),
     "run_bench, method 'foo'":
         (lambda: run_bench(shapes=[Shape.TRI], orders=[2], reps=1, methods=("foo",)), "methods"),
     "run_bench, quantity 'foo'":
@@ -222,6 +225,14 @@ def test_numpy_integers_are_read_as_integers():
     assert basis_for_order(Shape.TRI, np.int64(3)) == basis_for_order(Shape.TRI, 3)
     assert exact_multi_indices(Shape.TRI, np.int64(2)) == exact_multi_indices(Shape.TRI, 2)
     assert monomial_field(np.array([2, 1])).eval([0.5, 3.0]) == 0.75
+
+
+def test_numpy_orders_are_read_as_integers():
+    records = run_bench(shapes=[Shape.SEGMENT], orders=np.array([2, 3]), reps=1,
+                        methods=("bary",), quantities=("value",))
+    assert [r.order for r in records] == [2, 3]
+    _, results = run_verify([Shape.TRI], np.array([2, 3]))
+    assert [r.order for r in results] == [2, 2, 2, 3, 3, 3]
 
 # Every entry point that takes a basis refuses one that is not a TensorBasis.
 NOT_A_BASIS = {"[1, 2]": [1, 2], "None": None, "a tuple of node sets": TRI.axes}

@@ -105,7 +105,10 @@ def _locate(h, shape, order, points):
     d = len(basis.axes)
     coords = tuple(sample_field(shape, basis, _coord(q, d)) for q in range(d))
     maps = [_coord(q, d) for q in range(d)]
-    x_of = lambda xi: np.array([m(xi) for m in maps])  # noqa: E731
+
+    def x_of(xi):
+        return np.array([m(xi) for m in maps])
+
     targets = [x_of(xi) for xi in points[:3]] + [x_of(centroid(shape)) + 3.0]
     for target in targets:
         res = locate(LocateProblem(shape, basis, coords, target,
