@@ -1,13 +1,13 @@
 """A bit-for-bit digest of baryeval's outputs, one `name sha256` line per entry point.
 
-    PYTHONPATH=<checkout>/src python3 tools/digest.py [--shapes tri,hex] [--orders 3,7]
+    PYTHONPATH=<checkout>/src python3 tools/digest.py
 
 Run it once on each of two checkouts and compare the two outputs with
 `diff`: an equal line means the entry point returned the same float64 bytes,
 sign bits included, on every input.  Each hash also covers the shape of every
 array and marks a missing part (None), so a changed layout shows too.
 
-Inputs, per shape (default all seven) and order (default 2, 3, 7 and 12):
+Inputs, per shape (all seven) and order (2, 3, 7 and 12):
 64 seeded scattered interior points plus the bench's `sampling_points`, one
 smooth field and a tuple of three.  Entry points: `build_operator` with and
 without derivative rows, `evaluate` and `phys_evaluate` (one field and three,
@@ -23,7 +23,6 @@ one copy of it runs on both sides of a comparison.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import sys
 
@@ -149,18 +148,9 @@ def digest(shapes, orders):
     return [f"{name} {h[name].hexdigest()}" for name in ENTRY_POINTS]
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--shapes", default="all",
-                    help="comma-separated shape names, or 'all' (default)")
-    ap.add_argument("--orders", default=",".join(map(str, ORDERS)),
-                    help="comma-separated orders (default %(default)s)")
-    args = ap.parse_args(argv)
-    shapes = (list(Shape) if args.shapes == "all"
-              else [Shape(name.strip()) for name in args.shapes.split(",")])
-    orders = [int(p) for p in args.orders.split(",")]
+def main():
     print(f"baryeval from {sys.modules['baryeval'].__file__}", file=sys.stderr)
-    print("\n".join(digest(shapes, orders)))
+    print("\n".join(digest(list(Shape), ORDERS)))
 
 
 if __name__ == "__main__":
